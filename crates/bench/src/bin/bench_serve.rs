@@ -60,11 +60,14 @@ fn target_for(q: &QueryRecord) -> String {
     t
 }
 
-/// One GET over a fresh connection; returns `(status, body)`.
+/// One GET over a fresh connection; returns `(status, body)`. The request
+/// says `Connection: close`, so this bench keeps measuring one request per
+/// connection (the `perfbench` workloads measure kept connections).
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect to snaps-serve");
     s.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
-    write!(s, "GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n").expect("send request");
+    write!(s, "GET {target} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
+        .expect("send request");
     let mut raw = String::new();
     s.read_to_string(&mut raw).expect("read response");
     let status = raw

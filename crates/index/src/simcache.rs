@@ -29,14 +29,15 @@ const SHARDS: usize = 16;
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
 /// One shard: its entries plus the insertion order used for FIFO eviction.
+/// Both hold the same key allocation.
 ///
 /// A panic while a shard is locked can at worst leave `map` and `order`
 /// out of step, which costs a missed or early eviction, never a wrong
 /// result; so a poisoned shard is recovered and used as is.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<String, Arc<Matches>>, // snaps-lint: allow(hash-iter) -- keyed access only, order never observed
-    order: VecDeque<String>,
+    map: HashMap<Arc<str>, Arc<Matches>>, // snaps-lint: allow(hash-iter) -- keyed access only, order never observed
+    order: VecDeque<Arc<str>>,
 }
 
 /// The sharded bounded cache. Cheap to share behind `&self`; all mutation
@@ -137,8 +138,8 @@ impl SimCache {
         let mut evicted = 0u64;
         {
             let mut shard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
-            if shard.map.contains_key(key) {
-                shard.map.insert(key.to_owned(), matches);
+            if let Some(slot) = shard.map.get_mut(key) {
+                *slot = matches;
                 return;
             }
             while shard.map.len() >= self.per_shard_capacity {
@@ -146,8 +147,9 @@ impl SimCache {
                 shard.map.remove(&oldest);
                 evicted += 1;
             }
-            shard.map.insert(key.to_owned(), matches);
-            shard.order.push_back(key.to_owned());
+            let key: Arc<str> = Arc::from(key);
+            shard.map.insert(Arc::clone(&key), matches);
+            shard.order.push_back(key);
         }
         // Counter bumps call into snaps-obs; they happen after the shard
         // guard is dropped so no lock is held across a cross-crate call.
@@ -163,7 +165,7 @@ mod tests {
     use snaps_obs::ObsConfig;
 
     fn arc(v: &[(&str, f64)]) -> Arc<Matches> {
-        Arc::new(v.iter().map(|(s, x)| ((*s).to_owned(), *x)).collect())
+        Arc::new(v.iter().map(|(s, x)| (Arc::from(*s), *x)).collect())
     }
 
     #[test]
@@ -172,7 +174,7 @@ mod tests {
         assert!(c.get("a").is_none());
         c.insert("a", arc(&[("b", 0.9)]));
         let m = c.get("a").expect("cached");
-        assert_eq!(m[0].0, "b");
+        assert_eq!(&*m[0].0, "b");
         assert_eq!(c.len(), 1);
     }
 
@@ -228,7 +230,7 @@ mod tests {
         c.insert("a", arc(&[("old", 0.1)]));
         c.insert("a", arc(&[("new", 0.2)]));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get("a").unwrap()[0].0, "new");
+        assert_eq!(&*c.get("a").unwrap()[0].0, "new");
     }
 
     #[test]

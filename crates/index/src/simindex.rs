@@ -8,6 +8,11 @@
 //! — in a sharded, bounded [`SimCache`] so concurrent readers share one
 //! index through `&self` and novel query strings cannot grow memory without
 //! limit.
+//!
+//! Every distinct value is stored once, as an `Arc<str>`: the value → id
+//! map, the pre-computed match lists and the cached lists of query values
+//! all hold clones of that one allocation, so a cache miss costs one
+//! vector, not one string per match.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,8 +24,14 @@ use snaps_strsim::qgram::bigrams;
 use crate::simcache::{SimCache, DEFAULT_CACHE_CAPACITY};
 
 /// A value's pre-computed approximate matches: `(value, similarity)`,
-/// sorted descending by similarity.
-pub type Matches = Vec<(String, f64)>;
+/// sorted descending by similarity. Each value is the index's own shared
+/// string.
+pub type Matches = Vec<(Arc<str>, f64)>;
+
+/// A match list as [`SimilarityIndex::try_from_parts`] takes it: each
+/// match as `(value id, similarity)`, the id being the value's position
+/// among the indexed values.
+pub type MatchIds = Vec<(u32, f64)>;
 
 /// The similarity-aware index.
 ///
@@ -32,12 +43,14 @@ pub type Matches = Vec<(String, f64)>;
 pub struct SimilarityIndex {
     /// Minimum similarity retained (`s_t`).
     s_t: f64,
-    /// Indexed values in insertion order.
-    values: Vec<String>,
+    /// Indexed values in insertion order; position `i` is value id `i`.
+    values: Vec<Arc<str>>,
+    /// value → its id, for lookups and for skipping duplicate values.
+    positions: BTreeMap<Arc<str>, u32>,
     /// Bigram → indices into `values` (postings lists).
     postings: BTreeMap<String, Vec<u32>>,
-    /// value → its matches among `values` (immutable after build).
-    matches: BTreeMap<String, Arc<Matches>>,
+    /// Value id → its matches among `values` (immutable after build).
+    matches: Vec<Arc<Matches>>,
     /// Bounded memo for query values not among `values`.
     cache: SimCache,
 }
@@ -49,6 +62,7 @@ impl Clone for SimilarityIndex {
         Self {
             s_t: self.s_t,
             values: self.values.clone(),
+            positions: self.positions.clone(),
             postings: self.postings.clone(),
             matches: self.matches.clone(),
             cache: SimCache::new(self.cache.capacity()),
@@ -57,6 +71,18 @@ impl Clone for SimilarityIndex {
 }
 
 impl SimilarityIndex {
+    /// An index over no values yet, with the default cache.
+    fn empty(s_t: f64) -> Self {
+        Self {
+            s_t,
+            values: Vec::new(),
+            positions: BTreeMap::new(),
+            postings: BTreeMap::new(),
+            matches: Vec::new(),
+            cache: SimCache::new(DEFAULT_CACHE_CAPACITY),
+        }
+    }
+
     /// Pre-compute the index over `values` with threshold `s_t`.
     ///
     /// # Panics
@@ -64,61 +90,59 @@ impl SimilarityIndex {
     #[must_use]
     pub fn build<'v>(values: impl IntoIterator<Item = &'v str>, s_t: f64) -> Self {
         assert!(s_t > 0.0 && s_t < 1.0, "s_t must be in (0,1)");
-        let mut idx = Self {
-            s_t,
-            values: Vec::new(),
-            postings: BTreeMap::new(),
-            matches: BTreeMap::new(),
-            cache: SimCache::new(DEFAULT_CACHE_CAPACITY),
-        };
+        let mut idx = Self::empty(s_t);
         for v in values {
-            idx.insert_value(v);
+            idx.insert_value(Arc::from(v));
         }
         // Pre-compute every indexed value's matches.
-        let all: Vec<String> = idx.values.clone();
-        for v in &all {
-            let m = idx.compute_matches(v);
-            idx.matches.insert(v.clone(), Arc::new(m));
-        }
+        idx.matches = idx.values.iter().map(|v| Arc::new(idx.compute_matches(v))).collect();
         idx
     }
 
     /// Restore an index from its serialised parts (snapshot loading):
     /// threshold, indexed values, and each value's pre-computed matches.
-    /// Postings are rebuilt from the values — they are derived data.
+    /// Matches name values by id, their position in `values`, so every
+    /// restored list holds the index's own copies of the strings. Postings
+    /// are rebuilt from the values — they are derived data.
     ///
     /// # Errors
-    /// Rejects an out-of-range `s_t` and match lists that do not carry
-    /// exactly one entry per indexed value. Snapshot checksums catch random
-    /// corruption, but the loader still refuses structurally invalid parts
-    /// instead of panicking on the serve path.
+    /// Rejects an out-of-range `s_t`, duplicate or empty values, a value id
+    /// out of range, and match lists that do not carry exactly one entry
+    /// per indexed value. Snapshot checksums catch random corruption, but
+    /// the loader still refuses structurally invalid parts instead of
+    /// panicking on the serve path.
     pub fn try_from_parts(
         s_t: f64,
-        values: Vec<String>,
-        matches: Vec<(String, Matches)>,
+        values: Vec<Arc<str>>,
+        matches: Vec<(u32, MatchIds)>,
     ) -> Result<Self, &'static str> {
         if !(s_t > 0.0 && s_t < 1.0) {
             return Err("s_t must be in (0,1)");
         }
-        let mut idx = Self {
-            s_t,
-            values: Vec::new(),
-            postings: BTreeMap::new(),
-            matches: BTreeMap::new(),
-            cache: SimCache::new(DEFAULT_CACHE_CAPACITY),
-        };
-        for v in &values {
+        let mut idx = Self::empty(s_t);
+        let n = values.len();
+        for v in values {
             idx.insert_value(v);
         }
-        for (v, m) in matches {
-            if !idx.values.iter().any(|x| x == &v) {
-                return Err("match entry for un-indexed value");
+        if idx.values.len() != n {
+            return Err("indexed values must be distinct and non-empty");
+        }
+        let mut lists: Vec<Option<Arc<Matches>>> = vec![None; n];
+        for (id, m) in matches {
+            let m: Matches = m
+                .into_iter()
+                .map(|(other, s)| idx.values.get(other as usize).map(|v| (Arc::clone(v), s)))
+                .collect::<Option<_>>()
+                .ok_or("match names an un-indexed value")?;
+            let slot = lists.get_mut(id as usize).ok_or("match list for an un-indexed value")?;
+            if slot.replace(Arc::new(m)).is_some() {
+                return Err("one match list required per indexed value");
             }
-            idx.matches.insert(v, Arc::new(m));
         }
-        if idx.matches.len() != idx.values.len() {
-            return Err("one match list required per indexed value");
-        }
+        idx.matches = lists
+            .into_iter()
+            .collect::<Option<_>>()
+            .ok_or("one match list required per indexed value")?;
         Ok(idx)
     }
 
@@ -127,7 +151,7 @@ impl SimilarityIndex {
     /// # Panics
     /// Panics where `try_from_parts` would return an error.
     #[must_use]
-    pub fn from_parts(s_t: f64, values: Vec<String>, matches: Vec<(String, Matches)>) -> Self {
+    pub fn from_parts(s_t: f64, values: Vec<Arc<str>>, matches: Vec<(u32, MatchIds)>) -> Self {
         match Self::try_from_parts(s_t, values, matches) {
             Ok(idx) => idx,
             Err(e) => panic!("invalid index parts: {e}"),
@@ -168,14 +192,16 @@ impl SimilarityIndex {
 
     /// Indexed values in insertion order.
     #[must_use]
-    pub fn indexed_values(&self) -> &[String] {
+    pub fn indexed_values(&self) -> &[Arc<str>] {
         &self.values
     }
 
     /// Every indexed value with its pre-computed matches, in ascending
     /// value order (serialisation support).
     pub fn precomputed(&self) -> impl Iterator<Item = (&str, &Matches)> {
-        self.matches.iter().map(|(v, m)| (v.as_str(), m.as_ref()))
+        self.positions
+            .iter()
+            .filter_map(|(v, &id)| self.matches.get(id as usize).map(|m| (v.as_ref(), m.as_ref())))
     }
 
     /// Entries currently memoised for unseen query values.
@@ -190,20 +216,26 @@ impl SimilarityIndex {
     #[must_use]
     #[cfg(test)]
     pub(crate) fn stored_pairs(&self) -> usize {
-        self.matches.values().map(|m| m.len()).sum()
+        self.matches.iter().map(|m| m.len()).sum()
     }
 
-    fn insert_value(&mut self, v: &str) {
-        if v.is_empty() || self.values.iter().any(|x| x == v) {
+    /// Id of indexed value `v`.
+    fn position(&self, v: &str) -> Option<usize> {
+        self.positions.get(v).map(|&id| id as usize)
+    }
+
+    fn insert_value(&mut self, v: Arc<str>) {
+        if v.is_empty() || self.positions.contains_key(&v) {
             return;
         }
         // Postings ids are u32; past 2^32 values further inserts are dropped
         // rather than panicking (real datasets are orders of magnitude off).
         let Ok(id) = u32::try_from(self.values.len()) else { return };
-        self.values.push(v.to_string());
-        for bg in bigrams(v) {
+        for bg in bigrams(&v) {
             self.postings.entry(bg).or_default().push(id);
         }
+        self.positions.insert(Arc::clone(&v), id);
+        self.values.push(v);
     }
 
     /// Candidates sharing at least one bigram with `v`.
@@ -220,10 +252,10 @@ impl SimilarityIndex {
             .candidates(v)
             .into_iter()
             .filter_map(|id| self.values.get(id as usize))
-            .filter(|cand| cand.as_str() != v)
+            .filter(|cand| cand.as_ref() != v)
             .filter_map(|cand| {
                 let s = jaro_winkler(v, cand);
-                (s >= self.s_t).then(|| (cand.clone(), s))
+                (s >= self.s_t).then(|| (Arc::clone(cand), s))
             })
             .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -233,7 +265,7 @@ impl SimilarityIndex {
     /// The pre-computed matches of an indexed value, if present.
     #[must_use]
     pub fn lookup(&self, v: &str) -> Option<&Matches> {
-        self.matches.get(v).map(Arc::as_ref)
+        self.position(v).and_then(|id| self.matches.get(id)).map(Arc::as_ref)
     }
 
     /// Matches for any value: pre-computed when indexed, otherwise computed
@@ -244,7 +276,7 @@ impl SimilarityIndex {
     /// Takes `&self`: safe to call from many threads on one shared index.
     #[must_use]
     pub fn lookup_or_compute(&self, v: &str) -> Arc<Matches> {
-        if let Some(m) = self.matches.get(v) {
+        if let Some(m) = self.position(v).and_then(|id| self.matches.get(id)) {
             return Arc::clone(m);
         }
         if let Some(m) = self.cache.get(v) {
@@ -277,12 +309,12 @@ mod tests {
         let i = idx();
         let m = i.lookup("macdonald").unwrap();
         assert!(!m.is_empty());
-        assert_eq!(m[0].0, "mcdonald", "most similar first: {m:?}");
+        assert_eq!(&*m[0].0, "mcdonald", "most similar first: {m:?}");
         for w in m.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
         // Self is never among the matches.
-        assert!(m.iter().all(|(v, _)| v != "macdonald"));
+        assert!(m.iter().all(|(v, _)| &**v != "macdonald"));
     }
 
     #[test]
@@ -299,7 +331,7 @@ mod tests {
     fn dissimilar_not_matched() {
         let i = idx();
         let m = i.lookup("tweedie").unwrap();
-        assert!(m.iter().all(|(v, _)| v != "martin"), "{m:?}");
+        assert!(m.iter().all(|(v, _)| &**v != "martin"), "{m:?}");
     }
 
     #[test]
@@ -307,7 +339,7 @@ mod tests {
         let i = idx();
         assert!(i.lookup("macdonalds").is_none());
         let m = i.lookup_or_compute("macdonalds");
-        assert!(m.iter().any(|(v, _)| v == "macdonald"));
+        assert!(m.iter().any(|(v, _)| &**v == "macdonald"));
         // Second lookup hits the memo and agrees.
         assert_eq!(i.cached_queries(), 1);
         assert_eq!(i.lookup_or_compute("macdonalds"), m);
@@ -316,7 +348,7 @@ mod tests {
         assert_eq!(i.len(), 5);
         assert!(i.lookup("macdonalds").is_none(), "not among pre-computed");
         let others = i.lookup("macdonald").unwrap();
-        assert!(others.iter().all(|(v, _)| v != "macdonalds"));
+        assert!(others.iter().all(|(v, _)| &**v != "macdonalds"));
     }
 
     #[test]
@@ -367,12 +399,23 @@ mod tests {
         assert_eq!(c.cached_queries(), 0);
     }
 
+    /// Arguments of `try_from_parts` after the threshold.
+    type Parts = (Vec<Arc<str>>, Vec<(u32, MatchIds)>);
+
+    /// `i`'s values, and its match lists with every value named by id.
+    fn parts(i: &SimilarityIndex) -> Parts {
+        let id = |v: &str| u32::try_from(i.position(v).expect("indexed")).expect("small");
+        let matches = i
+            .precomputed()
+            .map(|(v, m)| (id(v), m.iter().map(|(o, s)| (id(o), *s)).collect()))
+            .collect();
+        (i.indexed_values().to_vec(), matches)
+    }
+
     #[test]
     fn from_parts_round_trips() {
         let i = idx();
-        let values = i.indexed_values().to_vec();
-        let matches: Vec<(String, Matches)> =
-            i.precomputed().map(|(v, m)| (v.to_owned(), m.clone())).collect();
+        let (values, matches) = parts(&i);
         let restored = SimilarityIndex::from_parts(i.s_t(), values, matches);
         assert_eq!(restored.len(), i.len());
         for v in restored.indexed_values() {
@@ -380,7 +423,56 @@ mod tests {
         }
         // Derived postings work: unseen values still match.
         let m = restored.lookup_or_compute("macdonalds");
-        assert!(m.iter().any(|(v, _)| v == "macdonald"));
+        assert!(m.iter().any(|(v, _)| &**v == "macdonald"));
+    }
+
+    /// Pre-computed, restored and cached match lists all point at the
+    /// index's one copy of each value instead of owning their own.
+    #[test]
+    fn match_lists_share_the_indexed_strings() {
+        let shares = |index: &SimilarityIndex, m: &Matches| {
+            m.iter().all(|(v, _)| index.indexed_values().iter().any(|own| Arc::ptr_eq(own, v)))
+        };
+        let i = idx();
+        assert!(shares(&i, i.lookup("macdonald").unwrap()));
+        assert!(shares(&i, &i.lookup_or_compute("macdonalds")));
+        let (values, matches) = parts(&i);
+        let restored = SimilarityIndex::from_parts(i.s_t(), values, matches);
+        for v in restored.indexed_values() {
+            assert!(shares(&restored, restored.lookup(v).unwrap()), "{v}");
+        }
+    }
+
+    #[test]
+    fn invalid_parts_are_rejected() {
+        let i = idx();
+        let check = |f: &dyn Fn(&mut Parts)| {
+            let mut p = parts(&i);
+            f(&mut p);
+            SimilarityIndex::try_from_parts(i.s_t(), p.0, p.1).err()
+        };
+        assert_eq!(check(&|_| {}), None);
+        assert_eq!(
+            check(&|(_, m)| m[0].1.push((99, 0.9))),
+            Some("match names an un-indexed value")
+        );
+        assert_eq!(check(&|(_, m)| m[0].0 = 99), Some("match list for an un-indexed value"));
+        assert_eq!(
+            check(&|(_, m)| m[1].0 = m[0].0),
+            Some("one match list required per indexed value")
+        );
+        assert_eq!(
+            check(&|(_, m)| drop(m.pop())),
+            Some("one match list required per indexed value")
+        );
+        assert_eq!(
+            check(&|(v, _)| v[1] = Arc::clone(&v[0])),
+            Some("indexed values must be distinct and non-empty")
+        );
+        assert_eq!(
+            check(&|(v, _)| v[1] = Arc::from("")),
+            Some("indexed values must be distinct and non-empty")
+        );
     }
 
     #[test]

@@ -51,14 +51,7 @@ struct Model {
 
 impl Model {
     fn new(cap: usize) -> Self {
-        Self {
-            entries: VecDeque::new(),
-            cap,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            fresh_inserts: 0,
-        }
+        Self { entries: VecDeque::new(), cap, hits: 0, misses: 0, evictions: 0, fresh_inserts: 0 }
     }
 
     /// Step 1 of an operation: the guard-held cache mutation/probe.
@@ -140,18 +133,13 @@ fn explore(model: &Model, programs: &[Vec<Op>], threads: &[ThreadState], out: &m
         // still live.
         assert_eq!(model.hits + model.misses, out.total_gets, "a get went uncounted");
         let live = u64::try_from(model.entries.len()).unwrap_or(u64::MAX);
-        assert_eq!(
-            model.evictions,
-            model.fresh_inserts - live,
-            "eviction counter out of balance"
-        );
+        assert_eq!(model.evictions, model.fresh_inserts - live, "eviction counter out of balance");
         out.outcomes.insert((model.hits, model.misses, model.evictions, model.entries.len()));
     }
 }
 
 fn run(cap: usize, programs: &[Vec<Op>]) -> Exploration {
-    let total_gets =
-        programs.iter().flatten().filter(|op| matches!(op, Op::Get(_))).count() as u64;
+    let total_gets = programs.iter().flatten().filter(|op| matches!(op, Op::Get(_))).count() as u64;
     let mut out = Exploration { schedules: 0, outcomes: BTreeSet::new(), total_gets };
     let threads = vec![(0usize, None); programs.len()];
     explore(&Model::new(cap), programs, &threads, &mut out);
@@ -165,8 +153,10 @@ fn counters_reconcile_at_quiescence_in_every_interleaving() {
     // each other depending on the schedule. 10 steps, 10!/(6!·4!) = 210
     // schedules; the reconciliation asserts run inside `explore` at every
     // quiescent leaf.
-    let programs =
-        vec![vec![Op::Get("a"), Op::Insert("a"), Op::Get("a")], vec![Op::Insert("b"), Op::Get("b")]];
+    let programs = vec![
+        vec![Op::Get("a"), Op::Insert("a"), Op::Get("a")],
+        vec![Op::Insert("b"), Op::Get("b")],
+    ];
     let out = run(1, &programs);
     assert_eq!(out.schedules, 210, "full schedule space covered");
     // The schedule genuinely matters — several distinct counter outcomes
@@ -182,10 +172,7 @@ fn racing_duplicate_inserts_never_overcount_evictions() {
     // Both threads compute the same novel value and insert it (the racing
     // duplicate path): the second insert must overwrite idempotently, so
     // no schedule may report an eviction or grow the shard.
-    let programs = vec![
-        vec![Op::Get("a"), Op::Insert("a")],
-        vec![Op::Get("a"), Op::Insert("a")],
-    ];
+    let programs = vec![vec![Op::Get("a"), Op::Insert("a")], vec![Op::Get("a"), Op::Insert("a")]];
     let out = run(2, &programs);
     assert_eq!(out.schedules, 70, "8!/(4!·4!) schedules covered");
     for &(hits, misses, evictions, live) in &out.outcomes {

@@ -111,7 +111,10 @@ const GUARD_SEGMENTS: &[&str] = &["lock()", "read()", "write()"];
 
 /// Why this write is shard-unsafe, or `None` when the receiver is
 /// exclusive (local or `&mut`-rooted) and the op is not a shared atomic.
-fn shared_write_reason(w: &MutWriteSite, shared_statics: &BTreeMap<String, String>) -> Option<String> {
+fn shared_write_reason(
+    w: &MutWriteSite,
+    shared_statics: &BTreeMap<String, String>,
+) -> Option<String> {
     let root = w.receiver.first().map(String::as_str);
     let static_decl = root.and_then(|r| shared_statics.get(r));
     let guard_rooted = w.receiver.iter().any(|s| GUARD_SEGMENTS.contains(&s.as_str()))
@@ -227,10 +230,9 @@ pub(crate) fn check(
 
     let mut out = ShardOutcome::default();
     for (ri, root) in SHARD_ROOTS.iter().enumerate() {
-        let display = matched[ri].first().map_or_else(
-            || format!("{}::{}", root.krate, root.function),
-            |&n| graph.display(n),
-        );
+        let display = matched[ri]
+            .first()
+            .map_or_else(|| format!("{}::{}", root.krate, root.function), |&n| graph.display(n));
         out.roots.push(ShardRootStat {
             stage: root.stage,
             root: display,
@@ -302,7 +304,8 @@ mod tests {
         let f = &out.findings[0];
         assert_eq!(f.rule, "shard-safety");
         assert!(
-            f.message.contains("shared static `FOUND` (declared at crates/blocking/src/pairs.rs:2)"),
+            f.message
+                .contains("shared static `FOUND` (declared at crates/blocking/src/pairs.rs:2)"),
             "{}",
             f.message
         );

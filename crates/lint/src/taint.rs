@@ -171,10 +171,8 @@ pub(crate) fn check(graph: &CallGraph) -> TaintOutcome {
             }
             let (src, taint_path) = walk_to_source(&toward_source, n);
             let sf = &graph.fns[src];
-            let (what, sline) = sf
-                .taints
-                .first()
-                .map_or(("nondeterminism source", sf.line), |t| (t.what, t.line));
+            let (what, sline) =
+                sf.taints.first().map_or(("nondeterminism source", sf.line), |t| (t.what, t.line));
             for &sink in &fed {
                 flows += 1;
                 let key = (sf.file.clone(), sline, graph.display(sink));

@@ -121,7 +121,13 @@ fn explore(model: &Model, threads: &[ThreadState], out: &mut Exploration) {
     }
 }
 
-fn run(shards: usize, per_shard: usize, threads: usize, pushes: usize, policy: Policy) -> Exploration {
+fn run(
+    shards: usize,
+    per_shard: usize,
+    threads: usize,
+    pushes: usize,
+    policy: Policy,
+) -> Exploration {
     let model = Model::new(shards, per_shard, policy);
     let start = vec![(pushes, None); threads];
     let mut out = Exploration { schedules: 0, violations: BTreeSet::new() };

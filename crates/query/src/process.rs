@@ -191,7 +191,7 @@ fn value_similarities(value: &str, index: &SimilarityIndex) -> BTreeMap<String, 
     let mut map: BTreeMap<String, f64> = BTreeMap::new();
     map.insert(value.to_string(), 1.0);
     for (v, s) in index.lookup_or_compute(value).iter() {
-        map.entry(v.clone()).or_insert(*s);
+        map.entry(v.to_string()).or_insert(*s);
     }
     map
 }

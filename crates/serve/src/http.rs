@@ -2,10 +2,13 @@
 //!
 //! The service needs exactly four GET endpoints, so this is a deliberately
 //! small subset of the protocol: request-line + headers are parsed with hard
-//! limits (no bodies are read — all endpoints are GET), responses always
-//! carry `Content-Length` and `Connection: close`. Malformed input maps to
-//! a typed [`ParseError`] which the server answers with `400 Bad Request`;
-//! nothing in the parse path can panic on attacker-controlled bytes.
+//! limits (no bodies are read — all endpoints are GET), and responses always
+//! carry `Content-Length`, so one connection can carry many requests. The
+//! parse reports whether the client allows that ([`Request::keep_alive`]);
+//! every response says `Connection: keep-alive` or `Connection: close` to
+//! match what the server does next. Malformed input maps to a typed
+//! [`ParseError`] which the server answers with `400 Bad Request`; nothing
+//! in the parse path can panic on attacker-controlled bytes.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -53,6 +56,13 @@ pub struct Request {
     pub path: String,
     /// Percent-decoded query parameters in order of appearance.
     pub params: Vec<(String, String)>,
+    /// Whether the client allows the connection to carry another request:
+    /// HTTP/1.1 allows it unless a `Connection` header lists `close`;
+    /// HTTP/1.0 only when one lists `keep-alive`. A request announcing a
+    /// body (`Content-Length` other than 0, or `Transfer-Encoding`) never
+    /// allows it, because the body is not read and would be taken for the
+    /// next request.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -155,13 +165,25 @@ fn parse_target(target: &str) -> Result<(String, Vec<(String, String)>), ParseEr
     Ok((path, params))
 }
 
+/// Case-insensitive ASCII match of header `name` against `lower`.
+fn header_is(name: &[u8], lower: &str) -> bool {
+    name.trim_ascii().eq_ignore_ascii_case(lower.as_bytes())
+}
+
+/// Whether the comma-separated header `value` lists `token`.
+fn lists_token(value: &[u8], token: &str) -> bool {
+    value.split(|&b| b == b',').any(|t| t.trim_ascii().eq_ignore_ascii_case(token.as_bytes()))
+}
+
 /// Read and parse one HTTP/1.1 request (request line + headers) from `r`.
-/// Headers are consumed and discarded; bodies are never read.
+/// Headers are consumed; only `Connection`, `Content-Length` and
+/// `Transfer-Encoding` are looked at (for [`Request::keep_alive`]); bodies
+/// are never read. Called repeatedly on one reader, it parses pipelined
+/// requests in order.
 ///
 /// The request line and every header share one line buffer, and headers
-/// are validated as byte slices (they are discarded, so they are never
-/// UTF-8-decoded): the parse allocates only for the owned `Request`
-/// fields, not per line.
+/// are validated as byte slices (they are never UTF-8-decoded): the parse
+/// allocates only for the owned `Request` fields, not per line.
 ///
 /// # Errors
 /// A typed [`ParseError`] for anything that should answer `400`.
@@ -180,20 +202,36 @@ pub fn parse_request(r: &mut impl BufRead) -> Result<Request, ParseError> {
     // The owned fields are extracted before the header loop reuses `line`.
     let (path, params) = parse_target(target)?;
     let method = method.to_string();
+    let (mut close, mut keep, mut body) = (false, false, false);
+    let http11 = version == "HTTP/1.1";
     for _ in 0..MAX_HEADERS {
         read_line_into(r, &mut line, MAX_REQUEST_LINE)?;
         if line.is_empty() {
-            return Ok(Request { method, path, params });
+            let keep_alive = !close && !body && (keep || http11);
+            return Ok(Request { method, path, params, keep_alive });
         }
-        if !line.contains(&b':') {
+        let Some(colon) = line.iter().position(|&b| b == b':') else {
             return Err(ParseError::BadHeader);
+        };
+        let (name, value) = line.split_at(colon);
+        let value = value.get(1..).unwrap_or_default();
+        if header_is(name, "connection") {
+            close |= lists_token(value, "close");
+            keep |= lists_token(value, "keep-alive");
+        } else if header_is(name, "content-length") {
+            body |= value.trim_ascii() != b"0";
+        } else if header_is(name, "transfer-encoding") {
+            body = true;
         }
     }
     Err(ParseError::TooLarge)
 }
 
-/// An outgoing response; [`Response::write_to`] emits the full HTTP/1.1
-/// message with `Content-Length` and `Connection: close`.
+/// An outgoing response. [`Response::render`] appends the full HTTP/1.1
+/// message, with `Content-Length` and a `Connection` header saying whether
+/// the server keeps the connection, to a byte buffer the caller sends with
+/// one write; [`Response::write_to`] writes the `Connection: close` form
+/// straight to a stream.
 ///
 /// The body is borrowed, not owned: handlers render into a reusable
 /// per-worker buffer and the response lends it to the writer, so the
@@ -243,19 +281,34 @@ impl<'a> Response<'a> {
         }
     }
 
-    /// Serialise onto `w`.
+    fn write_head(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        write!(
+            w,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+            self.status,
+            reason(self.status),
+            self.content_type,
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" }
+        )
+    }
+
+    /// Append the whole message to `out`, announcing `Connection:
+    /// keep-alive` or `Connection: close`. Head and body go out in one
+    /// write: with persistent connections and `TCP_NODELAY`, a reply split
+    /// over several small writes stalls the client.
+    pub(crate) fn render(&self, out: &mut Vec<u8>, keep_alive: bool) {
+        // Writing into a `Vec` cannot fail.
+        let _ = self.write_head(out, keep_alive);
+        out.extend_from_slice(self.body);
+    }
+
+    /// Serialise onto `w` with `Connection: close`.
     ///
     /// # Errors
     /// Propagates I/O errors (e.g. the client hung up).
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            self.status,
-            reason(self.status),
-            self.content_type,
-            self.body.len()
-        )?;
+        self.write_head(w, false)?;
         w.write_all(self.body)?;
         w.flush()
     }
@@ -330,14 +383,119 @@ mod tests {
     }
 
     #[test]
+    fn keep_alive_decisions() {
+        for (headers, version, expect) in [
+            ("", "HTTP/1.1", true),
+            ("", "HTTP/1.0", false),
+            ("Connection: close\r\n", "HTTP/1.1", false),
+            ("Connection: Keep-Alive\r\n", "HTTP/1.0", true),
+            ("connection:   CLOSE  \r\n", "HTTP/1.1", false),
+            ("CONNECTION:\tkeep-alive \r\n", "HTTP/1.0", true),
+            ("Connection: keep-alive\r\nConnection: close\r\n", "HTTP/1.1", false),
+            ("Connection: close\r\nConnection: keep-alive\r\n", "HTTP/1.0", false),
+            ("Connection: keep-alive\r\nConnection: keep-alive\r\n", "HTTP/1.0", true),
+            ("Connection: Upgrade, close\r\n", "HTTP/1.1", false),
+            ("Connection: closed\r\n", "HTTP/1.1", true),
+            ("X-Connection: close\r\n", "HTTP/1.1", true),
+            ("Content-Length: 0\r\n", "HTTP/1.1", true),
+            ("Content-Length: 5\r\n", "HTTP/1.1", false),
+            ("Transfer-Encoding: chunked\r\n", "HTTP/1.1", false),
+        ] {
+            let raw = format!("GET /healthz {version}\r\nHost: x\r\n{headers}\r\n");
+            let req = parse(&raw).expect("valid request");
+            assert_eq!(req.keep_alive, expect, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_parse_in_order() {
+        let raw = "GET /a HTTP/1.1\r\n\r\nGET /b?x=1 HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let mut r = BufReader::with_capacity(5, raw.as_bytes());
+        let a = parse_request(&mut r).expect("first");
+        let b = parse_request(&mut r).expect("second");
+        assert_eq!((a.path.as_str(), a.keep_alive), ("/a", true));
+        assert_eq!((b.path.as_str(), b.param("x"), b.keep_alive), ("/b", Some("1"), false));
+        assert_eq!(parse_request(&mut r), Err(ParseError::UnexpectedEof));
+    }
+
+    /// Seeded mutation fuzzing of a two-request pipelined stream: splices,
+    /// duplications, truncations and byte flips, parsed repeatedly from one
+    /// small-buffered reader as the server does. Every call returns a
+    /// `Request` or a typed `ParseError` and consumes input, so the loop
+    /// reaches end of input within one call per byte.
+    #[test]
+    fn mutated_pipelined_streams_never_panic() {
+        use snaps_rng::{check_cases, Rng};
+        const SEED: &[u8] =
+            b"GET /search?first=flora&last=mac%20rae&m=5 HTTP/1.1\r\nHost: x\r\n\r\n\
+            GET /pedigree/7?g=2 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
+
+        fn span(rng: &mut Rng, len: usize) -> (usize, usize) {
+            let a = rng.gen_range(0..=len);
+            let b = rng.gen_range(0..=len);
+            (a.min(b), a.max(b))
+        }
+
+        check_cases(512, |rng| {
+            let mut bytes = SEED.to_vec();
+            for _ in 0..rng.gen_range(1..=6) {
+                let len = bytes.len();
+                match rng.gen_range(0..4u8) {
+                    0 => {
+                        let (a, b) = span(rng, len);
+                        let piece = bytes[a..b].to_vec();
+                        let (c, d) = span(rng, len);
+                        bytes.splice(c..d, piece);
+                    }
+                    1 => {
+                        let (a, b) = span(rng, len);
+                        let piece = bytes[a..b].to_vec();
+                        bytes.splice(b..b, piece);
+                    }
+                    2 => bytes.truncate(rng.gen_range(0..=len)),
+                    _ if len > 0 => {
+                        let at = rng.gen_range(0..len);
+                        bytes[at] = match rng.gen_range(0..4u8) {
+                            0 => b'\r',
+                            1 => b'\n',
+                            2 => b':',
+                            _ => rng.gen_range(0..=u8::MAX),
+                        };
+                    }
+                    _ => {}
+                }
+            }
+            let mut r = BufReader::with_capacity(rng.gen_range(1..=64), bytes.as_slice());
+            let mut calls = 0;
+            loop {
+                calls += 1;
+                assert!(calls <= bytes.len() + 1, "parse made no progress on {bytes:?}");
+                match parse_request(&mut r) {
+                    Ok(req) => assert!(req.path.starts_with('/'), "{req:?}"),
+                    Err(ParseError::UnexpectedEof) => break,
+                    Err(_) => {}
+                }
+            }
+        });
+    }
+
+    #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}").write_to(&mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(s.contains("Content-Type: application/json\r\n"));
-        assert!(s.contains("Content-Length: 11\r\n"));
-        assert!(s.contains("Connection: close\r\n"));
-        assert!(s.ends_with("\r\n\r\n{\"ok\":true}"));
+        for keep_alive in [false, true] {
+            let mut out = Vec::new();
+            Response::json(200, "{\"ok\":true}").render(&mut out, keep_alive);
+            let s = String::from_utf8(out).unwrap();
+            assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
+            assert!(s.contains("Content-Type: application/json\r\n"));
+            assert!(s.contains("Content-Length: 11\r\n"));
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            assert!(s.contains(&format!("Connection: {connection}\r\n")), "{s}");
+            assert!(s.ends_with("\r\n\r\n{\"ok\":true}"));
+        }
+        // `write_to` keeps the close form, byte for byte.
+        let (mut written, mut rendered) = (Vec::new(), Vec::new());
+        Response::json(404, "{}").write_to(&mut written).unwrap();
+        Response::json(404, "{}").render(&mut rendered, false);
+        assert_eq!(written, rendered);
     }
 }

@@ -6,14 +6,29 @@
 //!   TcpListener ── accept thread ──► bounded queue ──► N worker threads
 //!                      │  queue full: answer 503 immediately               │
 //!                      ▼                                                   ▼
-//!              Connection dropped                          parse → route → respond
+//!              Connection dropped                 ┌──► parse → route → respond
+//!                                                 │            │ keep-alive
+//!                                                 └── wait for next request
+//!                                              (close: client, idle, cap,
+//!                                               yield, shutdown, error)
 //! ```
 //!
 //! Backpressure is explicit: the accept thread never blocks on a full
 //! queue — it writes `503 Service Unavailable` on the spot and closes the
 //! connection, so overload degrades loudly instead of queueing unboundedly.
+//!
+//! A worker keeps its connection for the next request (HTTP/1.1
+//! keep-alive) while the client allows it, the request parsed, fewer than
+//! [`MAX_REQUESTS_PER_CONN`] requests were served on it, the server is not
+//! shutting down, and no accepted connection is waiting in the queue — a
+//! worker never idles on one client while others wait. Between requests it
+//! waits for the next one in [`IDLE_POLL`] slices, re-checking shutdown and
+//! the queue after each, and gives up after `read_timeout` of idleness.
+//! Each connection's end is counted by reason (`serve.conn.close.*`).
+//!
 //! Shutdown is graceful: the flag is raised, the accept thread is woken by
-//! a self-connection, workers drain the queue and exit, and
+//! a self-connection, workers finish the request in hand, drop idle kept
+//! connections within one poll slice, drain the queue and exit, and
 //! [`Server::shutdown`] joins every thread.
 //!
 //! Every handled request leaves a [`TraceRecord`] in a bounded
@@ -24,7 +39,7 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -75,11 +90,18 @@ const ROUTE_DEBUG_SLOW: usize = 5;
 const ROUTE_OTHER: usize = 6;
 const ROUTE_UNPARSED: usize = 7;
 
-/// Initial capacity of each worker's reusable response buffer; typical
+/// Initial capacity of each worker's reusable response buffers; typical
 /// `/search` and `/pedigree` bodies fit after a few warm-up regrowths,
-/// after which the buffer's capacity is stable (asserted by the serve
+/// after which the buffers' capacity is stable (asserted by the serve
 /// integration tests and watched by `serve.resp_buf.regrow`).
 const RESP_BUF_INITIAL_CAPACITY: usize = 4 * 1024;
+
+/// Requests served on one connection before the server closes it.
+pub(crate) const MAX_REQUESTS_PER_CONN: u32 = 1000;
+
+/// Slice in which a worker waits for the next request on a kept
+/// connection before it re-checks shutdown and the accept queue.
+pub(crate) const IDLE_POLL: Duration = Duration::from_millis(25);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -89,7 +111,8 @@ pub struct ServerConfig {
     /// Maximum connections waiting for a worker before new ones get `503`.
     pub queue_capacity: usize,
     /// Per-connection read timeout; a client that connects but never sends
-    /// a full request holds a worker for at most this long.
+    /// a full request holds a worker for at most this long, and so does a
+    /// kept connection on which no next request arrives.
     pub read_timeout: Duration,
     /// Capacity of the request trace ring served by `/debug/traces`.
     pub trace_capacity: usize,
@@ -155,6 +178,11 @@ impl ConnQueue {
         Ok(())
     }
 
+    /// Whether no accepted connection is waiting for a worker.
+    fn is_empty(&self) -> bool {
+        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_empty()
+    }
+
     /// Blocking pop; returns `None` once `shutdown` is set **and** the
     /// queue is drained, so accepted work still completes.
     fn pop(&self, shutdown: &AtomicBool) -> Option<(TcpStream, Instant)> {
@@ -184,6 +212,75 @@ struct RouteClasses {
     c5xx: Counter,
 }
 
+/// Why a connection ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// The client asked to close (`Connection: close`, HTTP/1.0) or closed
+    /// its end between requests.
+    Client,
+    /// No request arrived within `read_timeout`.
+    Idle,
+    /// [`MAX_REQUESTS_PER_CONN`] requests were served on it.
+    Cap,
+    /// Accepted connections were waiting for a worker.
+    Yield,
+    /// The server is shutting down.
+    Shutdown,
+    /// A malformed or truncated request, or an I/O error.
+    Error,
+}
+
+/// Connection outcome counters: `serve.conn.reused` counts parsed requests
+/// on a connection that had already served one, and each close reason has
+/// its own `serve.conn.close.<reason>`. With `serve.conn.accepted` (kept by
+/// the accept thread), accepted minus shed equals the sum of the close
+/// reasons once the server has shut down.
+struct ConnCounters {
+    reused: Counter,
+    client: Counter,
+    idle: Counter,
+    cap: Counter,
+    yielded: Counter,
+    shutdown: Counter,
+    error: Counter,
+}
+
+impl ConnCounters {
+    fn new(obs: &Obs) -> Self {
+        Self {
+            reused: obs.counter("serve.conn.reused"),
+            client: obs.counter("serve.conn.close.client"),
+            idle: obs.counter("serve.conn.close.idle"),
+            cap: obs.counter("serve.conn.close.cap"),
+            yielded: obs.counter("serve.conn.close.yield"),
+            shutdown: obs.counter("serve.conn.close.shutdown"),
+            error: obs.counter("serve.conn.close.error"),
+        }
+    }
+
+    fn closed(&self, why: Close) {
+        match why {
+            Close::Client => &self.client,
+            Close::Idle => &self.idle,
+            Close::Cap => &self.cap,
+            Close::Yield => &self.yielded,
+            Close::Shutdown => &self.shutdown,
+            Close::Error => &self.error,
+        }
+        .add(1);
+    }
+}
+
+/// A worker's reusable buffers: handlers render response bodies into
+/// `body`, and the whole reply (head and body) is assembled in `wire` and
+/// sent with one write. Once warmed up, a worker serves requests without
+/// allocating response memory; capacity growth is counted so the bench
+/// ratchet catches allocation regressions.
+struct Buffers {
+    body: String,
+    wire: Vec<u8>,
+}
+
 /// Per-request side facts a handler reports for its trace record.
 #[derive(Debug, Default, Clone, Copy)]
 struct ReqStats {
@@ -209,8 +306,12 @@ struct Ctx {
     sim_misses: Counter,
     candidates_scored: Counter,
     resp_regrow: Counter,
+    conn: ConnCounters,
     traces: TraceRing,
     snapshot: Option<SnapshotStamp>,
+    queue: Arc<ConnQueue>,
+    shutdown: Arc<AtomicBool>,
+    read_timeout: Duration,
 }
 
 /// A running query service; dropping without [`Server::shutdown`] detaches
@@ -285,30 +386,25 @@ impl Server {
             sim_misses: obs.counter("index.sim_cache.misses"),
             candidates_scored: obs.counter("query.candidates_scored"),
             resp_regrow: obs.counter("serve.resp_buf.regrow"),
+            conn: ConnCounters::new(obs),
             traces: TraceRing::new(config.trace_capacity),
             snapshot: config.snapshot,
+            queue: Arc::clone(&queue),
+            shutdown: Arc::clone(&shutdown),
+            read_timeout: config.read_timeout,
         });
 
         let mut workers = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
             let ctx = Arc::clone(&ctx);
-            let read_timeout = config.read_timeout;
             workers.push(thread::Builder::new().name(format!("snaps-serve-worker-{i}")).spawn(
                 move || {
-                    // Reusable response buffer: handlers render into it and
-                    // the response borrows it, so a warmed-up worker serves
-                    // requests without allocating response memory. Capacity
-                    // growth is counted so the bench ratchet catches
-                    // allocation regressions.
-                    let mut buf = String::with_capacity(RESP_BUF_INITIAL_CAPACITY);
-                    while let Some((stream, queued_at)) = queue.pop(&shutdown) {
-                        let capacity_before = buf.capacity();
-                        handle_connection(stream, queued_at, &ctx, read_timeout, &mut buf);
-                        if buf.capacity() > capacity_before {
-                            ctx.resp_regrow.add(1);
-                        }
+                    let mut bufs = Buffers {
+                        body: String::with_capacity(RESP_BUF_INITIAL_CAPACITY),
+                        wire: Vec::with_capacity(RESP_BUF_INITIAL_CAPACITY),
+                    };
+                    while let Some((stream, queued_at)) = ctx.queue.pop(&ctx.shutdown) {
+                        handle_connection(stream, queued_at, &ctx, &mut bufs);
                     }
                 },
             )?);
@@ -317,6 +413,7 @@ impl Server {
         let accept_thread = {
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&shutdown);
+            let accepted = obs.counter("serve.conn.accepted");
             let http_503 = obs.counter("serve.http_503");
             let shed_503 = obs.counter("serve.route.shed.503");
             thread::Builder::new().name("snaps-serve-accept".into()).spawn(move || {
@@ -325,6 +422,10 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    accepted.add(1);
+                    // Replies go out in one write each; without this, a
+                    // kept connection stalls on Nagle's algorithm.
+                    let _ = stream.set_nodelay(true);
                     if let Err(mut stream) = queue.try_push(stream) {
                         // Explicit backpressure: reject on the accept
                         // thread, never block behind a full queue.
@@ -404,42 +505,135 @@ fn param_digest(req: &Request) -> String {
     out
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    queued_at: Instant,
-    ctx: &Ctx,
-    read_timeout: Duration,
-    buf: &mut String,
-) {
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// Serve requests on one connection until it closes, and count why it did.
+fn handle_connection(stream: TcpStream, queued_at: Instant, ctx: &Ctx, bufs: &mut Buffers) {
     let queue_wait_us = us_u64(queued_at.elapsed().as_micros());
-    ctx.inflight.add(1);
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            ctx.inflight.add(-1);
-            return;
+    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
+    // One reader for the connection's lifetime, so bytes of a pipelined
+    // next request that arrive with this one are kept, not dropped.
+    let mut conn = BufReader::new(stream);
+    let why = serve_connection(&mut conn, queue_wait_us, ctx, bufs);
+    // Counted before the socket closes: a client that sees the close
+    // also sees the count.
+    ctx.conn.closed(why);
+}
+
+fn serve_connection(
+    conn: &mut BufReader<TcpStream>,
+    queue_wait_us: u64,
+    ctx: &Ctx,
+    bufs: &mut Buffers,
+) -> Close {
+    // A connection that opens but never sends (port scan, cancelled
+    // client) gets no response.
+    match conn.fill_buf() {
+        Ok([]) => return Close::Client,
+        Ok(_) => {}
+        Err(e) if is_timeout(&e) => return Close::Idle,
+        Err(_) => return Close::Error,
+    }
+    let mut served = 0;
+    loop {
+        // Requests on a reused connection were never queued.
+        let wait_us = if served == 0 { queue_wait_us } else { 0 };
+        if let Err(why) = serve_request(conn, ctx, wait_us, served, bufs) {
+            return why;
         }
-    });
+        served += 1;
+        if let Err(why) = await_next_request(conn, ctx) {
+            return why;
+        }
+    }
+}
+
+/// Wait for the first byte of the next request on a kept connection, in
+/// [`IDLE_POLL`] slices; between slices, give the connection up when the
+/// server shuts down or accepted connections are waiting. Restores
+/// `read_timeout` for the parse once the byte is there.
+fn await_next_request(conn: &mut BufReader<TcpStream>, ctx: &Ctx) -> Result<(), Close> {
+    if !conn.buffer().is_empty() {
+        return Ok(()); // pipelined: the next request is already here
+    }
+    let _ = conn.get_ref().set_read_timeout(Some(IDLE_POLL.min(ctx.read_timeout)));
+    let idle_since = Instant::now();
+    let outcome = loop {
+        if ctx.shutdown.load(Ordering::Acquire) {
+            break Err(Close::Shutdown);
+        }
+        if !ctx.queue.is_empty() {
+            break Err(Close::Yield);
+        }
+        match conn.fill_buf() {
+            Ok([]) => break Err(Close::Client),
+            Ok(_) => break Ok(()),
+            Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {
+                if idle_since.elapsed() >= ctx.read_timeout {
+                    break Err(Close::Idle);
+                }
+            }
+            Err(_) => break Err(Close::Error),
+        }
+    };
+    if outcome.is_ok() {
+        let _ = conn.get_ref().set_read_timeout(Some(ctx.read_timeout));
+    }
+    outcome
+}
+
+/// Whether the connection may carry another request after this one, and
+/// if not, why not.
+fn keep_open(req: &Request, served_before: u32, ctx: &Ctx) -> Result<(), Close> {
+    if !req.keep_alive {
+        Err(Close::Client)
+    } else if served_before + 1 >= MAX_REQUESTS_PER_CONN {
+        Err(Close::Cap)
+    } else if ctx.shutdown.load(Ordering::Acquire) {
+        Err(Close::Shutdown)
+    } else if !ctx.queue.is_empty() {
+        Err(Close::Yield)
+    } else {
+        Ok(())
+    }
+}
+
+/// Parse, route and answer one request. `Ok` means the reply announced
+/// `Connection: keep-alive` and the connection stays open.
+fn serve_request(
+    conn: &mut BufReader<TcpStream>,
+    ctx: &Ctx,
+    queue_wait_us: u64,
+    served_before: u32,
+    bufs: &mut Buffers,
+) -> Result<(), Close> {
+    let capacity_before = (bufs.body.capacity(), bufs.wire.capacity());
+    ctx.inflight.add(1);
     let handled_at = Instant::now();
-    buf.clear();
-    let (response, route_idx, stats, params) = match parse_request(&mut reader) {
+    bufs.body.clear();
+    let (response, route_idx, stats, params, keep) = match parse_request(conn) {
         Ok(req) => {
             ctx.requests.add(1);
+            if served_before > 0 {
+                ctx.conn.reused.add(1);
+            }
             let idx = route_id(&req.path);
             let params = param_digest(&req);
-            let (response, stats) = route(&req, ctx, buf);
-            (response, idx, stats, params)
+            let (response, stats) = route(&req, ctx, &mut bufs.body);
+            let keep = keep_open(&req, served_before, ctx);
+            (response, idx, stats, params, keep)
         }
-        // A connection that opened but never sent bytes (port scan,
-        // cancelled client) gets no response; real malformed input gets 400.
+        // The request stopped mid-way (EOF or read timeout): nobody is
+        // left to read an answer.
         Err(ParseError::UnexpectedEof) => {
             ctx.inflight.add(-1);
-            return;
+            return Err(Close::Error);
         }
         Err(e) => {
-            ctx.http_400.add(1);
-            (bad_request(buf, &e.to_string()), ROUTE_UNPARSED, ReqStats::default(), String::new())
+            let response = bad_request(&mut bufs.body, &e.to_string());
+            (response, ROUTE_UNPARSED, ReqStats::default(), String::new(), Err(Close::Error))
         }
     };
     match response.status {
@@ -470,8 +664,14 @@ fn handle_connection(
         params,
     });
     ctx.inflight.add(-1);
-    let mut stream = stream;
-    let _ = response.write_to(&mut stream);
+    bufs.wire.clear();
+    response.render(&mut bufs.wire, keep.is_ok());
+    let written = conn.get_mut().write_all(&bufs.wire);
+    if bufs.body.capacity() > capacity_before.0 || bufs.wire.capacity() > capacity_before.1 {
+        ctx.resp_regrow.add(1);
+    }
+    written.map_err(|_| Close::Error)?;
+    keep
 }
 
 /// Render a `{"error": …}` body into `out` (cleared first, in case a

@@ -23,12 +23,15 @@
 //! lists) are rebuilt on load rather than stored; they are cheap and keeping
 //! them out of the file halves its size.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use snaps_core::{PedigreeEntity, PedigreeGraph};
-use snaps_index::{simindex::Matches, KeywordIndex, SimilarityIndex};
+use snaps_index::simindex::{MatchIds, Matches};
+use snaps_index::{KeywordIndex, SimilarityIndex};
 use snaps_model::{person::GeoCoord, EntityId, Gender, RecordId, Relationship};
 use snaps_obs::Obs;
 use snaps_query::{QueryWeights, SearchEngine};
@@ -152,8 +155,8 @@ fn rel_decode(b: u8) -> Result<Relationship, SnapshotError> {
 // re-growth; the hints must stay exact (capacity == len is asserted in
 // tests), so any wire-layout change must update them in step.
 
-fn strings_size(strings: &[String]) -> usize {
-    4 + strings.iter().map(|s| 4 + s.len()).sum::<usize>()
+fn strings_size(strings: &[impl AsRef<str>]) -> usize {
+    4 + strings.iter().map(|s| 4 + s.as_ref().len()).sum::<usize>()
 }
 
 fn opt_i32_size(v: Option<i32>) -> usize {
@@ -201,10 +204,10 @@ fn sim_size(index: &SimilarityIndex, entries: &[(&str, &Matches)]) -> usize {
     8 + strings_size(index.indexed_values()) + 4 + matches
 }
 
-fn write_strings(w: &mut Writer, strings: &[String]) {
+fn write_strings(w: &mut Writer, strings: &[impl AsRef<str>]) {
     w.u32(len_u32(strings.len()));
     for s in strings {
-        w.string(s);
+        w.string(s.as_ref());
     }
 }
 
@@ -437,27 +440,32 @@ fn decode_sim(bytes: &[u8]) -> Result<SimilarityIndex, SnapshotError> {
     if !(s_t > 0.0 && s_t < 1.0) {
         return Err(SnapshotError::Corrupt("similarity threshold out of (0,1)"));
     }
-    let values = read_strings(&mut r)?;
+    let values: Vec<Arc<str>> = read_strings(&mut r)?.into_iter().map(Arc::from).collect();
     let n = r.len(8)?;
     if n != values.len() {
         return Err(SnapshotError::Corrupt("match-list count differs from value count"));
     }
+    // Match strings are resolved to value ids as they are read and then
+    // dropped: the restored lists hold the index's own strings only. The
+    // map is only probed, never iterated, so its order cannot leak out.
+    let ids: HashMap<&str, u32> = values.iter().zip(0..).map(|(v, id)| (&**v, id)).collect();
+    let id_of = |value: &str, missing: &'static str| {
+        ids.get(value).copied().ok_or(SnapshotError::Corrupt(missing))
+    };
     let mut matches = Vec::with_capacity(n);
     for _ in 0..n {
-        let value = r.string()?;
-        if !values.iter().any(|v| v == &value) {
-            return Err(SnapshotError::Corrupt("match list for un-indexed value"));
-        }
+        let value = id_of(&r.string()?, "match list for un-indexed value")?;
         let n_m = r.len(12)?;
-        let m: Matches =
-            (0..n_m).map(|_| Ok((r.string()?, r.f64()?))).collect::<Result<_, SnapshotError>>()?;
+        let m: MatchIds = (0..n_m)
+            .map(|_| Ok((id_of(&r.string()?, "match names an un-indexed value")?, r.f64()?)))
+            .collect::<Result<_, SnapshotError>>()?;
         matches.push((value, m));
     }
+    drop(ids);
     if r.remaining() != 0 {
         return Err(SnapshotError::Corrupt("trailing bytes after similarity section"));
     }
-    SimilarityIndex::try_from_parts(s_t, values, matches)
-        .map_err(|_| SnapshotError::Corrupt("inconsistent similarity index parts"))
+    SimilarityIndex::try_from_parts(s_t, values, matches).map_err(SnapshotError::Corrupt)
 }
 
 // ---------------------------------------------------------------------------
@@ -676,6 +684,40 @@ mod tests {
             assert_eq!(bytes.capacity(), bytes.len(), "{what}: size hint must be exact");
             assert!(!bytes.is_empty(), "{what}: sections are never empty");
         }
+    }
+
+    /// A similarity section whose one match list is `ann → [(other, 0.9)]`.
+    fn sim_section(other: &str) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.f64(0.5);
+        write_strings(&mut w, &["ann", "anna"]);
+        w.u32(2);
+        for (value, m) in [("ann", Some(other)), ("anna", None)] {
+            w.string(value);
+            w.u32(u32::from(m.is_some()));
+            if let Some(m) = m {
+                w.string(m);
+                w.f64(0.9);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decoded_matches_share_the_indexed_strings() {
+        let index = decode_sim(&sim_section("anna")).expect("valid section");
+        let m = index.lookup("ann").expect("indexed");
+        let anna = index.indexed_values().iter().find(|v| &***v == "anna").expect("indexed");
+        assert!(Arc::ptr_eq(&m[0].0, anna));
+        assert_eq!(encode_sim(&index), sim_section("anna"), "re-encodes to the same bytes");
+    }
+
+    #[test]
+    fn match_naming_an_unindexed_value_is_typed() {
+        assert!(matches!(
+            decode_sim(&sim_section("bob")),
+            Err(SnapshotError::Corrupt("match names an un-indexed value"))
+        ));
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn test_engine(obs: &Obs) -> Arc<SearchEngine> {
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(s, "GET {target} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send");
+    write!(s, "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").expect("send");
     let mut raw = String::new();
     s.read_to_string(&mut raw).expect("read response");
     let status: u16 = raw

@@ -1,11 +1,11 @@
 //! End-to-end tests of the HTTP service on an ephemeral port: every
-//! endpoint, malformed-input handling, queue-full backpressure, and clean
-//! shutdown.
+//! endpoint, malformed-input handling, queue-full backpressure, keep-alive,
+//! connection outcome counters, and clean shutdown.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use snaps_core::{resolve, PedigreeGraph, SnapsConfig};
 use snaps_datagen::{generate, DatasetProfile};
@@ -26,11 +26,12 @@ fn start_server(obs: &Obs, config: &ServerConfig) -> (Server, Arc<SearchEngine>)
     (server, engine)
 }
 
-/// Send one GET and return `(status, body)`.
+/// Send one GET on a fresh connection and return `(status, body)`. The
+/// request says `Connection: close`, so the reply can be read to EOF.
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(s, "GET {target} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send");
+    write!(s, "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").expect("send");
     read_response(&mut s)
 }
 
@@ -133,7 +134,7 @@ fn invalid_inputs_get_400_or_404() {
     // Non-GET gets 405.
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(s, "POST /search HTTP/1.1\r\n\r\n").unwrap();
+    write!(s, "POST /search HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
     let (status, _) = read_response(&mut s);
     assert_eq!(status, 405);
 
@@ -285,4 +286,266 @@ fn concurrent_clients_share_one_engine() {
     }
 
     server.shutdown();
+}
+
+/// One reply read off a kept connection, framed by `Content-Length`.
+#[derive(Debug, PartialEq, Eq)]
+struct Reply {
+    status: u16,
+    /// The `Connection` header's value.
+    connection: String,
+    /// Status line and headers other than `Connection`, then the body.
+    rest: String,
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    BufReader::new(s)
+}
+
+fn send(conn: &mut BufReader<TcpStream>, raw: &str) {
+    conn.get_mut().write_all(raw.as_bytes()).expect("send");
+}
+
+fn read_reply(conn: &mut BufReader<TcpStream>) -> Reply {
+    let (mut status, mut connection, mut rest, mut length) = (0, String::new(), String::new(), 0);
+    loop {
+        let mut line = String::new();
+        conn.read_line(&mut line).expect("header line");
+        assert!(line.ends_with("\r\n"), "truncated reply line {line:?}");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(code) = line.strip_prefix("HTTP/1.1 ") {
+            status = code.split(' ').next().and_then(|c| c.parse().ok()).expect("status");
+        }
+        match line.split_once(": ") {
+            Some(("Connection", v)) => connection = v.trim_end().to_string(),
+            Some(("Content-Length", v)) => length = v.trim_end().parse().expect("length"),
+            _ => {}
+        }
+        if !line.starts_with("Connection: ") {
+            rest.push_str(&line);
+        }
+    }
+    let mut body = vec![0; length];
+    conn.read_exact(&mut body).expect("body");
+    rest.push_str(std::str::from_utf8(&body).expect("UTF-8 body"));
+    Reply { status, connection, rest }
+}
+
+/// The server has closed the connection: reading returns EOF.
+fn assert_closed(conn: &mut BufReader<TcpStream>) {
+    let mut tail = Vec::new();
+    conn.read_to_end(&mut tail).expect("server closes");
+    assert!(tail.is_empty(), "bytes after the last reply: {tail:?}");
+}
+
+fn counter(obs: &Obs, name: &str) -> u64 {
+    obs.report().expect("enabled").counter(name).unwrap_or(0)
+}
+
+fn mixed_targets(engine: &SearchEngine) -> Vec<String> {
+    let e = &engine.graph().entities[0];
+    (0..50)
+        .map(|i| match i % 3 {
+            0 => {
+                format!("/search?first={}&last={}&m={}", e.first_names[0], e.surnames[0], 1 + i % 7)
+            }
+            1 => format!("/pedigree/{}?g={}", i % engine.graph().len(), 1 + i % 4),
+            _ => format!("/search?first={}&last={}&kind=death", e.first_names[0], e.surnames[0]),
+        })
+        .collect()
+}
+
+/// Fifty mixed requests over one connection get the same replies as on
+/// fresh connections, each counted once, all but the first as reused.
+#[test]
+fn keep_alive_replies_match_fresh_connections() {
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, engine) = start_server(&obs, &ServerConfig::default());
+    let addr = server.addr();
+    let targets = mixed_targets(&engine);
+    let fresh: Vec<Reply> = targets
+        .iter()
+        .map(|t| {
+            let mut conn = connect(addr);
+            send(&mut conn, &format!("GET {t} HTTP/1.1\r\nConnection: close\r\n\r\n"));
+            let reply = read_reply(&mut conn);
+            assert_eq!(reply.connection, "close");
+            assert_closed(&mut conn);
+            reply
+        })
+        .collect();
+
+    let (requests, reused) = (counter(&obs, "serve.requests"), counter(&obs, "serve.conn.reused"));
+    let mut conn = connect(addr);
+    for (t, expected) in targets.iter().zip(&fresh) {
+        send(&mut conn, &format!("GET {t} HTTP/1.1\r\nHost: test\r\n\r\n"));
+        let reply = read_reply(&mut conn);
+        assert_eq!(reply.connection, "keep-alive", "{t}");
+        assert_eq!(reply.status, 200, "{t}: {}", reply.rest);
+        assert_eq!(reply.rest, expected.rest, "{t}");
+    }
+    assert_eq!(counter(&obs, "serve.requests") - requests, 50);
+    assert_eq!(counter(&obs, "serve.conn.reused") - reused, 49);
+    server.shutdown();
+}
+
+/// Two requests written at once get two replies, in order.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, _engine) = start_server(&obs, &ServerConfig::default());
+    let mut conn = connect(server.addr());
+    send(
+        &mut conn,
+        "GET /pedigree/0?g=2 HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    let first = read_reply(&mut conn);
+    let second = read_reply(&mut conn);
+    assert!(first.rest.contains("{\"root\": 0"), "{first:?}");
+    assert_eq!(first.connection, "keep-alive");
+    assert!(second.rest.contains("\"status\": \"ok\""), "{second:?}");
+    assert_eq!(second.connection, "close");
+    assert_closed(&mut conn);
+    server.shutdown();
+}
+
+/// `Connection: close` and HTTP/1.0 without keep-alive end the connection
+/// after the reply; HTTP/1.0 asking for keep-alive keeps it.
+#[test]
+fn close_and_http10_requests_are_closed() {
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, _engine) = start_server(&obs, &ServerConfig::default());
+    for (request, keeps) in [
+        ("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", false),
+        ("GET /healthz HTTP/1.0\r\n\r\n", false),
+        ("GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true),
+    ] {
+        let mut conn = connect(server.addr());
+        send(&mut conn, request);
+        let reply = read_reply(&mut conn);
+        assert_eq!(reply.status, 200);
+        if keeps {
+            assert_eq!(reply.connection, "keep-alive", "{request:?}");
+            send(&mut conn, "GET /healthz HTTP/1.0\r\n\r\n");
+            assert_eq!(read_reply(&mut conn).connection, "close");
+        } else {
+            assert_eq!(reply.connection, "close", "{request:?}");
+        }
+        assert_closed(&mut conn);
+    }
+    server.shutdown();
+}
+
+/// A malformed request on a kept connection gets `400`, then a close.
+#[test]
+fn malformed_second_request_gets_400_then_close() {
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, _engine) = start_server(&obs, &ServerConfig::default());
+    let mut conn = connect(server.addr());
+    send(&mut conn, "GET /healthz HTTP/1.1\r\n\r\n");
+    assert_eq!(read_reply(&mut conn).connection, "keep-alive");
+    send(&mut conn, "THIS IS NOT HTTP\r\n\r\n");
+    let reply = read_reply(&mut conn);
+    assert_eq!((reply.status, reply.connection.as_str()), (400, "close"), "{reply:?}");
+    assert_closed(&mut conn);
+    server.shutdown();
+}
+
+/// With one worker, a client idling on a kept connection does not block a
+/// second client: the worker gives the idle connection up.
+#[test]
+fn idle_kept_connection_yields_to_waiting_client() {
+    let obs = Obs::new(&ObsConfig::full());
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let (server, _engine) = start_server(&obs, &config);
+    let mut idle = connect(server.addr());
+    send(&mut idle, "GET /healthz HTTP/1.1\r\n\r\n");
+    assert_eq!(read_reply(&mut idle).connection, "keep-alive");
+
+    let started = Instant::now();
+    let (status, _) = get(server.addr(), "/healthz");
+    assert_eq!(status, 200);
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_millis(500), "second client waited {waited:?}");
+    assert_closed(&mut idle);
+    assert_eq!(counter(&obs, "serve.conn.close.yield"), 1);
+    server.shutdown();
+}
+
+/// The server closes a connection after its request cap.
+#[test]
+fn connection_closes_after_request_cap() {
+    const REQUEST_CAP: usize = 1000; // `MAX_REQUESTS_PER_CONN` in the server
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, _engine) = start_server(&obs, &ServerConfig::default());
+    let mut conn = connect(server.addr());
+    for i in 1..=REQUEST_CAP {
+        send(&mut conn, "GET /nope HTTP/1.1\r\n\r\n");
+        let reply = read_reply(&mut conn);
+        assert_eq!(reply.status, 404);
+        let expected = if i == REQUEST_CAP { "close" } else { "keep-alive" };
+        assert_eq!(reply.connection, expected, "request {i}");
+    }
+    assert_closed(&mut conn);
+    assert_eq!(counter(&obs, "serve.conn.close.cap"), 1);
+    server.shutdown();
+}
+
+/// Shutdown does not wait out `read_timeout` on an idle kept connection.
+#[test]
+fn shutdown_is_prompt_with_idle_kept_connection() {
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, _engine) = start_server(&obs, &ServerConfig::default());
+    let mut idle = connect(server.addr());
+    send(&mut idle, "GET /healthz HTTP/1.1\r\n\r\n");
+    assert_eq!(read_reply(&mut idle).connection, "keep-alive");
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < ServerConfig::default().read_timeout / 5, "shutdown took {took:?}");
+    assert_closed(&mut idle);
+    assert_eq!(counter(&obs, "serve.conn.close.shutdown"), 1);
+}
+
+/// After shutdown, every accepted connection that was not shed ended for
+/// exactly one counted reason, and every parsed request was either a
+/// connection's first or a reused one.
+#[test]
+fn connection_counters_add_up() {
+    let obs = Obs::new(&ObsConfig::full());
+    let (server, _engine) = start_server(&obs, &ServerConfig::default());
+    let addr = server.addr();
+    for _ in 0..3 {
+        assert_eq!(get(addr, "/healthz").0, 200); // 3 first requests
+    }
+    let mut kept = connect(addr);
+    for _ in 0..5 {
+        send(&mut kept, "GET /healthz HTTP/1.1\r\n\r\n"); // 1 first + 4 reused
+        assert_eq!(read_reply(&mut kept).status, 200);
+    }
+    drop(kept);
+    let mut bad = connect(addr);
+    send(&mut bad, "NOT HTTP\r\n\r\n");
+    assert_eq!(read_reply(&mut bad).status, 400);
+    drop(TcpStream::connect(addr).expect("connect"));
+    let mut idle = connect(addr);
+    send(&mut idle, "GET /healthz HTTP/1.1\r\n\r\n"); // 1 first
+    assert_eq!(read_reply(&mut idle).status, 200);
+    server.shutdown();
+
+    let report = obs.report().expect("enabled");
+    let count = |name: &str| report.counter(name).unwrap_or(0);
+    let closes: u64 = ["client", "idle", "cap", "yield", "shutdown", "error"]
+        .iter()
+        .map(|why| count(&format!("serve.conn.close.{why}")))
+        .sum();
+    assert!(count("serve.conn.accepted") >= 6, "the test opened at least six connections");
+    assert_eq!(count("serve.conn.accepted") - count("serve.route.shed.503"), closes);
+    assert_eq!(count("serve.conn.reused"), 4);
+    assert_eq!(count("serve.requests"), 5 + count("serve.conn.reused"));
+    assert_eq!(count("serve.conn.close.error"), 1);
 }
