@@ -52,7 +52,8 @@ fn main() {
         }
     }
 
-    let fmt = |v: f64| format!("{v:.4}");
+    // Microsecond resolution: extraction no longer shows at 0.1 ms.
+    let fmt = |v: f64| format!("{v:.6}");
     let pedigree_row = match p {
         Some(p) => {
             vec!["Pedigree extraction".into(), fmt(p.min), fmt(p.avg), fmt(p.median), fmt(p.max)]

@@ -52,8 +52,15 @@ impl PedigreeEntity {
     /// Preferred display name: most recent first name + surname.
     #[must_use]
     pub fn display_name(&self) -> String {
-        format!(
-            "{} {}",
+        let (first, surname) = self.name_parts();
+        format!("{first} {surname}")
+    }
+
+    /// The two parts of [`Self::display_name`]: first name and surname,
+    /// `?` where the entity has none.
+    #[must_use]
+    pub fn name_parts(&self) -> (&str, &str) {
+        (
             self.first_names.first().map_or("?", String::as_str),
             self.surnames.first().map_or("?", String::as_str),
         )
@@ -67,8 +74,12 @@ pub struct PedigreeGraph {
     pub entities: Vec<PedigreeEntity>,
     /// Directed relationship edges `(from, to, relationship)`.
     pub edges: Vec<(EntityId, EntityId, Relationship)>,
-    /// Adjacency: `adjacency[e]` lists `(neighbour, relationship-from-e)`.
+    /// Adjacency: `adjacency[e]` lists `(neighbour, relationship-from-e)`,
+    /// sorted.
     pub adjacency: Vec<Vec<(EntityId, Relationship)>>,
+    /// Outgoing edges: `out_edges[e]` lists the positions in
+    /// [`Self::edges`] of the edges leaving `e`, ascending.
+    pub out_edges: Vec<Vec<usize>>,
     /// Entity of each record (`EntityId(u32::MAX)` = record excluded).
     pub record_entity: Vec<EntityId>,
 }
@@ -89,41 +100,58 @@ impl PedigreeGraph {
     /// Algorithm 1 literally (only entities of merged nodes appear).
     #[must_use]
     pub fn build_with(ds: &Dataset, res: &Resolution, include_singletons: bool) -> Self {
-        let mut graph =
-            PedigreeGraph { record_entity: vec![NO_ENTITY; ds.len()], ..PedigreeGraph::default() };
+        let mut entities = Vec::with_capacity(res.clusters.len());
+        let mut record_entity = vec![NO_ENTITY; ds.len()];
 
         // Lines 1–6: one node per (merged) entity.
         for cluster in &res.clusters {
             if !include_singletons && cluster.len() < 2 {
                 continue;
             }
-            let id = EntityId::from_index(graph.entities.len());
-            graph.entities.push(build_entity(ds, id, cluster));
+            let id = EntityId::from_index(entities.len());
+            entities.push(build_entity(ds, id, cluster));
             for &r in cluster {
-                graph.record_entity[r.index()] = id;
+                record_entity[r.index()] = id;
             }
         }
 
         // Lines 7–15: lift certificate relationships to entity edges.
         let mut seen: BTreeSet<(EntityId, EntityId, Relationship)> = BTreeSet::new();
-        for (a, b, rel) in ds.all_relationships() {
-            let (ea, eb) = (graph.record_entity[a.index()], graph.record_entity[b.index()]);
-            if ea == NO_ENTITY || eb == NO_ENTITY || ea == eb {
-                continue;
-            }
-            if seen.insert((ea, eb, rel)) {
-                graph.edges.push((ea, eb, rel));
-            }
-        }
+        let edges = ds
+            .all_relationships()
+            .into_iter()
+            .map(|(a, b, rel)| (record_entity[a.index()], record_entity[b.index()], rel))
+            .filter(|&(ea, eb, _)| ea != NO_ENTITY && eb != NO_ENTITY && ea != eb)
+            .filter(|&edge| seen.insert(edge))
+            .collect();
+        Self::from_parts(entities, edges, record_entity)
+    }
 
-        graph.adjacency = vec![Vec::new(); graph.entities.len()];
-        for &(a, b, rel) in &graph.edges {
-            graph.adjacency[a.index()].push((b, rel));
+    /// Assemble a graph from its entities, edges and record → entity map,
+    /// deriving [`Self::adjacency`] and [`Self::out_edges`]. Both
+    /// [`Self::build_with`] and snapshot loading come through here. An edge
+    /// whose source is out of range is kept in `edges` but reaches no
+    /// derived list.
+    #[must_use]
+    pub fn from_parts(
+        entities: Vec<PedigreeEntity>,
+        edges: Vec<(EntityId, EntityId, Relationship)>,
+        record_entity: Vec<EntityId>,
+    ) -> Self {
+        let mut adjacency = vec![Vec::new(); entities.len()];
+        let mut out_edges = vec![Vec::new(); entities.len()];
+        for (i, &(a, b, rel)) in edges.iter().enumerate() {
+            if let (Some(adj), Some(out)) =
+                (adjacency.get_mut(a.index()), out_edges.get_mut(a.index()))
+            {
+                adj.push((b, rel));
+                out.push(i);
+            }
         }
-        for adj in &mut graph.adjacency {
+        for adj in &mut adjacency {
             adj.sort_unstable();
         }
-        graph
+        PedigreeGraph { entities, edges, adjacency, out_edges, record_entity }
     }
 
     /// Number of entities.
@@ -157,6 +185,13 @@ impl PedigreeGraph {
     #[must_use]
     pub fn neighbours(&self, id: EntityId) -> &[(EntityId, Relationship)] {
         self.adjacency.get(id.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Positions in [`Self::edges`] of the edges leaving `id`, ascending;
+    /// empty for out-of-range ids.
+    #[must_use]
+    pub fn out_edges(&self, id: EntityId) -> &[usize] {
+        self.out_edges.get(id.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The entities with a given relationship from `id` (e.g. its mother:
@@ -325,6 +360,26 @@ mod tests {
         let lax = PedigreeGraph::build(&ds, &res);
         assert_ne!(lax.record_entity[r.index()], NO_ENTITY);
         assert!(lax.len() > strict.len());
+    }
+
+    #[test]
+    fn out_edges_index_every_edge_by_source() {
+        let ds = family();
+        let res = resolve(&ds, &SnapsConfig::default());
+        let g = PedigreeGraph::build(&ds, &res);
+        let mut seen = Vec::new();
+        for e in &g.entities {
+            let out = g.out_edges(e.id);
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "ascending");
+            assert_eq!(out.len(), g.neighbours(e.id).len());
+            for &i in out {
+                assert_eq!(g.edges[i].0, e.id);
+                seen.push(i);
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..g.edges.len()).collect::<Vec<_>>());
+        assert!(g.out_edges(EntityId(u32::MAX)).is_empty());
     }
 
     #[test]

@@ -4,16 +4,68 @@ use std::collections::BTreeMap;
 
 use snaps_core::PedigreeGraph;
 use snaps_model::EntityId;
-#[cfg(test)]
-use snaps_model::Gender;
 
-/// Maps first names, surnames, and locations to the entities carrying them,
-/// with parallel year/gender accessors for result refinement (paper §6).
+/// One QID field's postings: every distinct value with the entities
+/// carrying it, in ascending value order. A value's rank in that order is
+/// its *posting position*; [`Postings::at`] reaches a posting by position
+/// without comparing strings.
+#[derive(Debug, Clone, Default)]
+pub struct Postings(Vec<(String, Vec<EntityId>)>);
+
+impl Postings {
+    fn from_map(map: BTreeMap<String, Vec<EntityId>>) -> Self {
+        Self(map.into_iter().collect())
+    }
+
+    /// Posting position of `value`.
+    #[must_use]
+    pub fn position(&self, value: &str) -> Option<usize> {
+        self.0.binary_search_by(|(v, _)| v.as_str().cmp(value)).ok()
+    }
+
+    /// Entities carrying `value` exactly.
+    #[must_use]
+    pub fn get(&self, value: &str) -> &[EntityId] {
+        self.position(value).map_or(&[], |p| self.at(p))
+    }
+
+    /// Entities of the posting at `position`; empty past the end.
+    #[must_use]
+    pub fn at(&self, position: usize) -> &[EntityId] {
+        self.0.get(position).map_or(&[], |(_, e)| e.as_slice())
+    }
+
+    /// The distinct values, ascending.
+    pub fn values(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(v, _)| v.as_str())
+    }
+
+    /// Every `(value, entities)` entry, ascending by value (serialisation
+    /// support).
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &[EntityId])> {
+        self.0.iter().map(|(v, e)| (v.as_str(), e.as_slice()))
+    }
+
+    /// Number of distinct values.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no value is indexed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Maps first names, surnames, and locations to the entities carrying them
+/// (paper §6).
 #[derive(Debug, Clone, Default)]
 pub struct KeywordIndex {
-    first_names: BTreeMap<String, Vec<EntityId>>,
-    surnames: BTreeMap<String, Vec<EntityId>>,
-    locations: BTreeMap<String, Vec<EntityId>>,
+    first_names: Postings,
+    surnames: Postings,
+    locations: Postings,
 }
 
 impl KeywordIndex {
@@ -22,63 +74,29 @@ impl KeywordIndex {
     /// either).
     #[must_use]
     pub fn build(graph: &PedigreeGraph) -> Self {
-        let mut idx = Self::default();
+        let mut first_names: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
+        let mut surnames: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
+        let mut locations: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
         for e in &graph.entities {
             for v in &e.first_names {
-                idx.first_names.entry(v.clone()).or_default().push(e.id);
+                first_names.entry(v.clone()).or_default().push(e.id);
             }
             for v in &e.surnames {
-                idx.surnames.entry(v.clone()).or_default().push(e.id);
+                surnames.entry(v.clone()).or_default().push(e.id);
             }
             for v in &e.addresses {
-                idx.locations.entry(v.clone()).or_default().push(e.id);
+                locations.entry(v.clone()).or_default().push(e.id);
             }
         }
-        idx
+        Self {
+            first_names: Postings::from_map(first_names),
+            surnames: Postings::from_map(surnames),
+            locations: Postings::from_map(locations),
+        }
     }
 
-    /// Entities whose first name matches `value` exactly.
-    #[must_use]
-    pub fn by_first_name(&self, value: &str) -> &[EntityId] {
-        self.first_names.get(value).map_or(&[], Vec::as_slice)
-    }
-
-    /// Entities whose surname matches `value` exactly.
-    #[must_use]
-    pub fn by_surname(&self, value: &str) -> &[EntityId] {
-        self.surnames.get(value).map_or(&[], Vec::as_slice)
-    }
-
-    /// Entities with `value` among their addresses.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn by_location(&self, value: &str) -> &[EntityId] {
-        self.locations.get(value).map_or(&[], Vec::as_slice)
-    }
-
-    /// All distinct indexed first names.
-    pub fn first_name_values(&self) -> impl Iterator<Item = &str> {
-        self.first_names.keys().map(String::as_str)
-    }
-
-    /// All distinct indexed surnames.
-    pub fn surname_values(&self) -> impl Iterator<Item = &str> {
-        self.surnames.keys().map(String::as_str)
-    }
-
-    /// All distinct indexed locations.
-    pub fn location_values(&self) -> impl Iterator<Item = &str> {
-        self.locations.keys().map(String::as_str)
-    }
-
-    /// Whether an entity's recorded gender is compatible with `g`.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn gender_matches(graph: &PedigreeGraph, e: EntityId, g: Gender) -> bool {
-        graph.entity(e).gender.compatible(g)
-    }
-
-    /// Restore an index from its serialised entry lists (snapshot loading).
+    /// Restore an index from its serialised entry lists (snapshot loading);
+    /// a value listed twice keeps its last list.
     #[must_use]
     pub fn from_parts(
         first_names: Vec<(String, Vec<EntityId>)>,
@@ -86,38 +104,28 @@ impl KeywordIndex {
         locations: Vec<(String, Vec<EntityId>)>,
     ) -> Self {
         Self {
-            first_names: first_names.into_iter().collect(),
-            surnames: surnames.into_iter().collect(),
-            locations: locations.into_iter().collect(),
+            first_names: Postings::from_map(first_names.into_iter().collect()),
+            surnames: Postings::from_map(surnames.into_iter().collect()),
+            locations: Postings::from_map(locations.into_iter().collect()),
         }
     }
 
-    /// Every first-name entry, in ascending value order (serialisation support).
-    pub fn first_name_entries(&self) -> impl Iterator<Item = (&str, &[EntityId])> {
-        self.first_names.iter().map(|(v, e)| (v.as_str(), e.as_slice()))
-    }
-
-    /// Every surname entry, in ascending value order (serialisation support).
-    pub fn surname_entries(&self) -> impl Iterator<Item = (&str, &[EntityId])> {
-        self.surnames.iter().map(|(v, e)| (v.as_str(), e.as_slice()))
-    }
-
-    /// Every location entry, in ascending value order (serialisation support).
-    pub fn location_entries(&self) -> impl Iterator<Item = (&str, &[EntityId])> {
-        self.locations.iter().map(|(v, e)| (v.as_str(), e.as_slice()))
-    }
-
-    /// Number of distinct indexed first-name values.
+    /// First name → entities.
     #[must_use]
-    pub fn distinct_first_names(&self) -> usize {
-        self.first_names.len()
+    pub fn first_names(&self) -> &Postings {
+        &self.first_names
     }
 
-    /// Number of distinct indexed surname values.
+    /// Surname (maiden and married forms) → entities.
     #[must_use]
-    #[cfg(test)]
-    pub(crate) fn distinct_surnames(&self) -> usize {
-        self.surnames.len()
+    pub fn surnames(&self) -> &Postings {
+        &self.surnames
+    }
+
+    /// Address → entities.
+    #[must_use]
+    pub fn locations(&self) -> &Postings {
+        &self.locations
     }
 }
 
@@ -125,7 +133,7 @@ impl KeywordIndex {
 mod tests {
     use super::*;
     use snaps_core::{resolve, PedigreeGraph, SnapsConfig};
-    use snaps_model::{CertificateKind, Dataset, Role};
+    use snaps_model::{CertificateKind, Dataset, Gender, Role};
 
     fn graph() -> PedigreeGraph {
         let mut ds = Dataset::new("t");
@@ -149,37 +157,43 @@ mod tests {
     fn indexes_all_name_values() {
         let g = graph();
         let idx = KeywordIndex::build(&g);
-        assert_eq!(idx.by_first_name("flora").len(), 1);
-        assert_eq!(idx.by_surname("macrae").len(), 3);
-        assert_eq!(idx.by_location("portree").len(), 3);
-        assert!(idx.by_first_name("zeb").is_empty());
+        assert_eq!(idx.first_names().get("flora").len(), 1);
+        assert_eq!(idx.surnames().get("macrae").len(), 3);
+        assert_eq!(idx.locations().get("portree").len(), 3);
+        assert!(idx.first_names().get("zeb").is_empty());
     }
 
     #[test]
-    fn value_iterators() {
+    fn values_ascend_and_positions_reach_their_postings() {
         let g = graph();
         let idx = KeywordIndex::build(&g);
-        let mut names: Vec<&str> = idx.first_name_values().collect();
-        names.sort_unstable();
+        let names: Vec<&str> = idx.first_names().values().collect();
         assert_eq!(names, vec!["effie", "flora", "torquil"]);
-        assert_eq!(idx.distinct_surnames(), 1);
-        assert_eq!(idx.distinct_first_names(), 3);
+        assert_eq!(idx.surnames().len(), 1);
+        for (p, (v, entities)) in idx.first_names().entries().enumerate() {
+            assert_eq!(idx.first_names().position(v), Some(p));
+            assert_eq!(idx.first_names().at(p), entities);
+        }
+        assert_eq!(idx.first_names().position("zeb"), None);
+        assert!(idx.first_names().at(3).is_empty(), "past the end");
     }
 
     #[test]
-    fn gender_compatibility_via_graph() {
-        let g = graph();
-        let idx = KeywordIndex::build(&g);
-        let flora = idx.by_first_name("flora")[0];
-        assert!(KeywordIndex::gender_matches(&g, flora, Gender::Female));
-        assert!(!KeywordIndex::gender_matches(&g, flora, Gender::Male));
-        assert!(KeywordIndex::gender_matches(&g, flora, Gender::Unknown));
+    fn from_parts_sorts_and_keeps_the_last_duplicate() {
+        let e = |i: u32| vec![EntityId(i)];
+        let idx = KeywordIndex::from_parts(
+            vec![("b".into(), e(1)), ("a".into(), e(2)), ("b".into(), e(3))],
+            Vec::new(),
+            Vec::new(),
+        );
+        assert_eq!(idx.first_names().values().collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(idx.first_names().get("b"), [EntityId(3)]);
     }
 
     #[test]
     fn empty_graph_empty_index() {
         let idx = KeywordIndex::build(&PedigreeGraph::default());
-        assert_eq!(idx.distinct_first_names(), 0);
-        assert!(idx.by_surname("x").is_empty());
+        assert!(idx.first_names().is_empty());
+        assert!(idx.surnames().get("x").is_empty());
     }
 }

@@ -18,7 +18,7 @@ pub mod keyword;
 pub mod simcache;
 pub mod simindex;
 
-pub use keyword::KeywordIndex;
+pub use keyword::{KeywordIndex, Postings};
 pub use simcache::SimCache;
 pub use simindex::SimilarityIndex;
 

@@ -164,17 +164,17 @@ mod tests {
     use super::*;
     use snaps_obs::ObsConfig;
 
-    fn arc(v: &[(&str, f64)]) -> Arc<Matches> {
-        Arc::new(v.iter().map(|(s, x)| (Arc::from(*s), *x)).collect())
+    fn arc(v: &[(u32, f64)]) -> Arc<Matches> {
+        Arc::new(v.to_vec())
     }
 
     #[test]
     fn get_after_insert_hits() {
         let c = SimCache::new(64);
         assert!(c.get("a").is_none());
-        c.insert("a", arc(&[("b", 0.9)]));
+        c.insert("a", arc(&[(7, 0.9)]));
         let m = c.get("a").expect("cached");
-        assert_eq!(&*m[0].0, "b");
+        assert_eq!(m[0].0, 7);
         assert_eq!(c.len(), 1);
     }
 
@@ -227,10 +227,10 @@ mod tests {
     #[test]
     fn duplicate_insert_overwrites_without_growth() {
         let c = SimCache::new(64);
-        c.insert("a", arc(&[("old", 0.1)]));
-        c.insert("a", arc(&[("new", 0.2)]));
+        c.insert("a", arc(&[(1, 0.1)]));
+        c.insert("a", arc(&[(2, 0.2)]));
         assert_eq!(c.len(), 1);
-        assert_eq!(&*c.get("a").unwrap()[0].0, "new");
+        assert_eq!(c.get("a").unwrap()[0].0, 2);
     }
 
     #[test]

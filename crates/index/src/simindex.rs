@@ -9,10 +9,12 @@
 //! index through `&self` and novel query strings cannot grow memory without
 //! limit.
 //!
-//! Every distinct value is stored once, as an `Arc<str>`: the value → id
-//! map, the pre-computed match lists and the cached lists of query values
-//! all hold clones of that one allocation, so a cache miss costs one
-//! vector, not one string per match.
+//! Every distinct value is stored once and has a dense id, its position
+//! among the indexed values. Match lists — pre-computed, restored from a
+//! snapshot, or cached for query values — name their values by that id, so
+//! a list entry is 16 bytes, a cache miss costs one vector, and callers
+//! that key other tables by value id (the search engine's keyword
+//! postings) never compare strings.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,15 +25,10 @@ use snaps_strsim::qgram::bigrams;
 
 use crate::simcache::{SimCache, DEFAULT_CACHE_CAPACITY};
 
-/// A value's pre-computed approximate matches: `(value, similarity)`,
-/// sorted descending by similarity. Each value is the index's own shared
-/// string.
-pub type Matches = Vec<(Arc<str>, f64)>;
-
-/// A match list as [`SimilarityIndex::try_from_parts`] takes it: each
-/// match as `(value id, similarity)`, the id being the value's position
-/// among the indexed values.
-pub type MatchIds = Vec<(u32, f64)>;
+/// A value's approximate matches: `(value id, similarity)`, sorted
+/// descending by similarity and then ascending by value. The id is the
+/// matched value's position in [`SimilarityIndex::indexed_values`].
+pub type Matches = Vec<(u32, f64)>;
 
 /// The similarity-aware index.
 ///
@@ -101,9 +98,9 @@ impl SimilarityIndex {
 
     /// Restore an index from its serialised parts (snapshot loading):
     /// threshold, indexed values, and each value's pre-computed matches.
-    /// Matches name values by id, their position in `values`, so every
-    /// restored list holds the index's own copies of the strings. Postings
-    /// are rebuilt from the values — they are derived data.
+    /// Matches name values by id, their position in `values`, and are kept
+    /// as given. Postings are rebuilt from the values — they are derived
+    /// data.
     ///
     /// # Errors
     /// Rejects an out-of-range `s_t`, duplicate or empty values, a value id
@@ -114,7 +111,7 @@ impl SimilarityIndex {
     pub fn try_from_parts(
         s_t: f64,
         values: Vec<Arc<str>>,
-        matches: Vec<(u32, MatchIds)>,
+        matches: Vec<(u32, Matches)>,
     ) -> Result<Self, &'static str> {
         if !(s_t > 0.0 && s_t < 1.0) {
             return Err("s_t must be in (0,1)");
@@ -129,11 +126,9 @@ impl SimilarityIndex {
         }
         let mut lists: Vec<Option<Arc<Matches>>> = vec![None; n];
         for (id, m) in matches {
-            let m: Matches = m
-                .into_iter()
-                .map(|(other, s)| idx.values.get(other as usize).map(|v| (Arc::clone(v), s)))
-                .collect::<Option<_>>()
-                .ok_or("match names an un-indexed value")?;
+            if m.iter().any(|&(other, _)| other as usize >= n) {
+                return Err("match names an un-indexed value");
+            }
             let slot = lists.get_mut(id as usize).ok_or("match list for an un-indexed value")?;
             if slot.replace(Arc::new(m)).is_some() {
                 return Err("one match list required per indexed value");
@@ -151,7 +146,7 @@ impl SimilarityIndex {
     /// # Panics
     /// Panics where `try_from_parts` would return an error.
     #[must_use]
-    pub fn from_parts(s_t: f64, values: Vec<Arc<str>>, matches: Vec<(u32, MatchIds)>) -> Self {
+    pub fn from_parts(s_t: f64, values: Vec<Arc<str>>, matches: Vec<(u32, Matches)>) -> Self {
         match Self::try_from_parts(s_t, values, matches) {
             Ok(idx) => idx,
             Err(e) => panic!("invalid index parts: {e}"),
@@ -196,6 +191,12 @@ impl SimilarityIndex {
         &self.values
     }
 
+    /// Id of indexed value `v`: its position in [`Self::indexed_values`].
+    #[must_use]
+    pub fn id_of(&self, v: &str) -> Option<u32> {
+        self.positions.get(v).copied()
+    }
+
     /// Every indexed value with its pre-computed matches, in ascending
     /// value order (serialisation support).
     pub fn precomputed(&self) -> impl Iterator<Item = (&str, &Matches)> {
@@ -219,9 +220,14 @@ impl SimilarityIndex {
         self.matches.iter().map(|m| m.len()).sum()
     }
 
-    /// Id of indexed value `v`.
+    /// Position of indexed value `v`.
     fn position(&self, v: &str) -> Option<usize> {
-        self.positions.get(v).map(|&id| id as usize)
+        self.id_of(v).map(|id| id as usize)
+    }
+
+    /// Indexed value `id`; empty for an id out of range.
+    fn value(&self, id: u32) -> &str {
+        self.values.get(id as usize).map_or("", |v| v)
     }
 
     fn insert_value(&mut self, v: Arc<str>) {
@@ -251,14 +257,13 @@ impl SimilarityIndex {
         let mut out: Matches = self
             .candidates(v)
             .into_iter()
-            .filter_map(|id| self.values.get(id as usize))
-            .filter(|cand| cand.as_ref() != v)
-            .filter_map(|cand| {
-                let s = jaro_winkler(v, cand);
-                (s >= self.s_t).then(|| (Arc::clone(cand), s))
+            .filter(|&id| self.value(id) != v)
+            .filter_map(|id| {
+                let s = jaro_winkler(v, self.value(id));
+                (s >= self.s_t).then_some((id, s))
             })
             .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| self.value(a.0).cmp(self.value(b.0))));
         out
     }
 
@@ -296,12 +301,19 @@ mod tests {
         SimilarityIndex::build(["macdonald", "mcdonald", "macdougall", "martin", "tweedie"], 0.5)
     }
 
+    /// The values `m` names, in list order.
+    fn names<'a>(i: &'a SimilarityIndex, m: &Matches) -> Vec<&'a str> {
+        m.iter().map(|&(id, _)| i.value(id)).collect()
+    }
+
     #[test]
     fn exact_values_indexed() {
         let i = idx();
         assert_eq!(i.len(), 5);
         assert!(i.lookup("macdonald").is_some());
         assert!(i.lookup("nosuch").is_none());
+        assert_eq!(i.id_of("mcdonald"), Some(1));
+        assert_eq!(i.id_of("nosuch"), None);
     }
 
     #[test]
@@ -309,12 +321,12 @@ mod tests {
         let i = idx();
         let m = i.lookup("macdonald").unwrap();
         assert!(!m.is_empty());
-        assert_eq!(&*m[0].0, "mcdonald", "most similar first: {m:?}");
+        assert_eq!(names(&i, m)[0], "mcdonald", "most similar first: {m:?}");
         for w in m.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
         // Self is never among the matches.
-        assert!(m.iter().all(|(v, _)| &**v != "macdonald"));
+        assert!(!names(&i, m).contains(&"macdonald"));
     }
 
     #[test]
@@ -331,7 +343,7 @@ mod tests {
     fn dissimilar_not_matched() {
         let i = idx();
         let m = i.lookup("tweedie").unwrap();
-        assert!(m.iter().all(|(v, _)| &**v != "martin"), "{m:?}");
+        assert!(!names(&i, m).contains(&"martin"), "{m:?}");
     }
 
     #[test]
@@ -339,7 +351,7 @@ mod tests {
         let i = idx();
         assert!(i.lookup("macdonalds").is_none());
         let m = i.lookup_or_compute("macdonalds");
-        assert!(m.iter().any(|(v, _)| &**v == "macdonald"));
+        assert!(names(&i, &m).contains(&"macdonald"));
         // Second lookup hits the memo and agrees.
         assert_eq!(i.cached_queries(), 1);
         assert_eq!(i.lookup_or_compute("macdonalds"), m);
@@ -347,8 +359,9 @@ mod tests {
         // The query string was not added as an indexed value.
         assert_eq!(i.len(), 5);
         assert!(i.lookup("macdonalds").is_none(), "not among pre-computed");
+        assert_eq!(i.id_of("macdonalds"), None);
         let others = i.lookup("macdonald").unwrap();
-        assert!(others.iter().all(|(v, _)| &**v != "macdonalds"));
+        assert!(others.iter().all(|&(id, _)| (id as usize) < i.len()));
     }
 
     #[test]
@@ -400,15 +413,12 @@ mod tests {
     }
 
     /// Arguments of `try_from_parts` after the threshold.
-    type Parts = (Vec<Arc<str>>, Vec<(u32, MatchIds)>);
+    type Parts = (Vec<Arc<str>>, Vec<(u32, Matches)>);
 
-    /// `i`'s values, and its match lists with every value named by id.
+    /// `i`'s values, and its match lists keyed by value id.
     fn parts(i: &SimilarityIndex) -> Parts {
-        let id = |v: &str| u32::try_from(i.position(v).expect("indexed")).expect("small");
-        let matches = i
-            .precomputed()
-            .map(|(v, m)| (id(v), m.iter().map(|(o, s)| (id(o), *s)).collect()))
-            .collect();
+        let matches =
+            i.precomputed().map(|(v, m)| (i.id_of(v).expect("indexed"), m.clone())).collect();
         (i.indexed_values().to_vec(), matches)
     }
 
@@ -420,27 +430,21 @@ mod tests {
         assert_eq!(restored.len(), i.len());
         for v in restored.indexed_values() {
             assert_eq!(restored.lookup(v), i.lookup(v), "{v}");
+            assert_eq!(restored.id_of(v), i.id_of(v), "{v}");
         }
         // Derived postings work: unseen values still match.
         let m = restored.lookup_or_compute("macdonalds");
-        assert!(m.iter().any(|(v, _)| &**v == "macdonald"));
+        assert!(names(&restored, &m).contains(&"macdonald"));
     }
 
-    /// Pre-computed, restored and cached match lists all point at the
-    /// index's one copy of each value instead of owning their own.
+    /// Ties in similarity are broken by the matched value, not by its id,
+    /// so a list does not depend on the order values were inserted in.
     #[test]
-    fn match_lists_share_the_indexed_strings() {
-        let shares = |index: &SimilarityIndex, m: &Matches| {
-            m.iter().all(|(v, _)| index.indexed_values().iter().any(|own| Arc::ptr_eq(own, v)))
-        };
-        let i = idx();
-        assert!(shares(&i, i.lookup("macdonald").unwrap()));
-        assert!(shares(&i, &i.lookup_or_compute("macdonalds")));
-        let (values, matches) = parts(&i);
-        let restored = SimilarityIndex::from_parts(i.s_t(), values, matches);
-        for v in restored.indexed_values() {
-            assert!(shares(&restored, restored.lookup(v).unwrap()), "{v}");
-        }
+    fn equal_similarities_sort_by_value() {
+        let i = SimilarityIndex::build(["abx", "aby", "abw", "ab"], 0.5);
+        let m = i.lookup("ab").unwrap();
+        assert_eq!(names(&i, m), ["abw", "abx", "aby"], "{m:?}");
+        assert!(m.windows(2).all(|w| w[0].1 == w[1].1));
     }
 
     #[test]

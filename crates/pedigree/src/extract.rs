@@ -1,7 +1,5 @@
 //! g-hop pedigree extraction from the pedigree graph.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use snaps_core::PedigreeGraph;
 use snaps_model::{EntityId, Relationship};
 use snaps_obs::Obs;
@@ -113,6 +111,10 @@ pub fn extract(graph: &PedigreeGraph, root: EntityId, generations: usize) -> Ped
 /// [`extract`] with instrumentation: the traversal is timed under a
 /// `pedigree_extract` span and the extracted sizes go to the
 /// `pedigree.members` / `pedigree.edges` counters.
+///
+/// The induced edges come from the members' own out-edge lists, so the
+/// cost follows the pedigree's size rather than the graph's; sorting their
+/// positions keeps them in [`PedigreeGraph::edges`] order.
 #[must_use]
 pub fn extract_with(
     graph: &PedigreeGraph,
@@ -121,37 +123,44 @@ pub fn extract_with(
     obs: &Obs,
 ) -> Pedigree {
     let span = obs.span("pedigree_extract");
-    let mut seen: BTreeMap<EntityId, (i32, usize)> = BTreeMap::new();
-    seen.insert(root, (0, 0));
-    let mut queue = VecDeque::from([root]);
-
-    while let Some(e) = queue.pop_front() {
-        let Some(&(gen, hops)) = seen.get(&e) else { continue };
-        if hops == generations {
+    // Members in breadth-first order, and their ids kept sorted for the
+    // membership tests.
+    let mut members = Vec::with_capacity(1 + graph.neighbours(root).len());
+    members.push(PedigreeMember { entity: root, generation: 0, hops: 0 });
+    let mut seen = Vec::with_capacity(members.capacity());
+    seen.push(root);
+    let mut next = 0;
+    while let Some(&from) = members.get(next) {
+        next += 1;
+        if from.hops == generations {
             continue;
         }
-        for &(to, rel) in graph.neighbours(e) {
-            let next = (gen + generation_shift(rel), hops + 1);
-            let entry = seen.entry(to);
-            if let std::collections::btree_map::Entry::Vacant(v) = entry {
-                v.insert(next);
-                queue.push_back(to);
+        for &(to, rel) in graph.neighbours(from.entity) {
+            if let Err(at) = seen.binary_search(&to) {
+                seen.insert(at, to);
+                members.push(PedigreeMember {
+                    entity: to,
+                    generation: from.generation + generation_shift(rel),
+                    hops: from.hops + 1,
+                });
             }
         }
     }
+    members.sort_unstable_by(|a, b| {
+        b.generation.cmp(&a.generation).then_with(|| a.entity.cmp(&b.entity))
+    });
 
-    let mut members: Vec<PedigreeMember> = seen
-        .iter()
-        .map(|(&entity, &(generation, hops))| PedigreeMember { entity, generation, hops })
-        .collect();
-    members.sort_by(|a, b| b.generation.cmp(&a.generation).then_with(|| a.entity.cmp(&b.entity)));
-
-    let edges: Vec<(EntityId, EntityId, Relationship)> = graph
-        .edges
-        .iter()
-        .copied()
-        .filter(|&(a, b, _)| seen.contains_key(&a) && seen.contains_key(&b))
-        .collect();
+    let mut induced: Vec<usize> = Vec::with_capacity(members.len());
+    for &e in &seen {
+        for &i in graph.out_edges(e) {
+            if graph.edges.get(i).is_some_and(|&(_, to, _)| seen.binary_search(&to).is_ok()) {
+                induced.push(i);
+            }
+        }
+    }
+    induced.sort_unstable();
+    let edges: Vec<(EntityId, EntityId, Relationship)> =
+        induced.iter().filter_map(|&i| graph.edges.get(i).copied()).collect();
 
     obs.counter("pedigree.members").add(members.len() as u64);
     obs.counter("pedigree.edges").add(edges.len() as u64);
@@ -296,5 +305,102 @@ mod tests {
         for &(a, b, _) in &p.edges {
             assert!(p.contains(a) && p.contains(b));
         }
+    }
+}
+
+/// `extract` against the definition it replaced, kept as the oracle: a
+/// breadth-first search over `neighbours`, and the induced edges found by
+/// filtering every graph edge.
+#[cfg(test)]
+mod oracle_tests {
+    use std::collections::{BTreeMap, VecDeque};
+
+    use super::*;
+    use snaps_core::PedigreeEntity;
+    use snaps_model::Gender;
+    use snaps_rng::{check_cases, Rng};
+
+    fn oracle(graph: &PedigreeGraph, root: EntityId, generations: usize) -> Pedigree {
+        let mut seen: BTreeMap<EntityId, (i32, usize)> = BTreeMap::new();
+        seen.insert(root, (0, 0));
+        let mut queue = VecDeque::from([root]);
+        while let Some(e) = queue.pop_front() {
+            let (gen, hops) = seen[&e];
+            if hops == generations {
+                continue;
+            }
+            for &(to, rel) in graph.neighbours(e) {
+                seen.entry(to).or_insert_with(|| {
+                    queue.push_back(to);
+                    (gen + generation_shift(rel), hops + 1)
+                });
+            }
+        }
+        let mut members: Vec<PedigreeMember> = seen
+            .iter()
+            .map(|(&entity, &(generation, hops))| PedigreeMember { entity, generation, hops })
+            .collect();
+        members
+            .sort_by(|a, b| b.generation.cmp(&a.generation).then_with(|| a.entity.cmp(&b.entity)));
+        let edges = graph
+            .edges
+            .iter()
+            .copied()
+            .filter(|&(a, b, _)| seen.contains_key(&a) && seen.contains_key(&b))
+            .collect();
+        Pedigree { root, members, edges }
+    }
+
+    fn entity(i: usize) -> PedigreeEntity {
+        PedigreeEntity {
+            id: EntityId::from_index(i),
+            records: Vec::new(),
+            first_names: Vec::new(),
+            surnames: Vec::new(),
+            addresses: Vec::new(),
+            occupations: Vec::new(),
+            geos: Vec::new(),
+            gender: Gender::Unknown,
+            birth_year: None,
+            death_year: None,
+            has_birth_record: false,
+            has_death_record: false,
+            event_years: Vec::new(),
+        }
+    }
+
+    /// 1-40 entities and up to three edges each in random order, with
+    /// every relationship kind, repeated edges and the odd self-loop.
+    fn random_graph(rng: &mut Rng) -> PedigreeGraph {
+        let n = rng.gen_range(1..40usize);
+        let rels = [
+            Relationship::MotherOf,
+            Relationship::FatherOf,
+            Relationship::SpouseOf,
+            Relationship::ChildOf,
+        ];
+        let edges = (0..rng.gen_range(0..3 * n))
+            .map(|_| {
+                let a = EntityId::from_index(rng.gen_range(0..n));
+                let b = EntityId::from_index(rng.gen_range(0..n));
+                (a, b, rels[rng.gen_range(0..rels.len())])
+            })
+            .collect();
+        PedigreeGraph::from_parts((0..n).map(entity).collect(), edges, Vec::new())
+    }
+
+    #[test]
+    fn members_and_edges_match_the_oracle() {
+        check_cases(128, |rng| {
+            let graph = random_graph(rng);
+            for root in 0..graph.len() {
+                let root = EntityId::from_index(root);
+                for g in 0..=3 {
+                    let (got, want) = (extract(&graph, root, g), oracle(&graph, root, g));
+                    assert_eq!(got.members, want.members, "root {root:?}, g = {g}");
+                    assert_eq!(got.edges, want.edges, "root {root:?}, g = {g}");
+                }
+            }
+        });
     }
 }

@@ -14,5 +14,5 @@
 pub mod process;
 pub mod query;
 
-pub use process::{process_query, RankedMatch, SearchEngine};
+pub use process::{RankedMatch, SearchEngine};
 pub use query::{QueryRecord, QueryWeights, SearchKind};

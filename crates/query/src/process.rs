@@ -1,9 +1,13 @@
 //! The search engine: accumulator construction, refinement, and ranking.
-
-use std::collections::BTreeMap;
+//!
+//! A query works on dense ids, not strings: the similarity indexes name
+//! each matched value by its value id, the engine maps a value id to its
+//! keyword posting through a table derived once at assembly, and the
+//! accumulator is a flat vector of `(entity, first-name sim, surname sim)`
+//! sorted and merged by entity.
 
 use snaps_core::{PedigreeEntity, PedigreeGraph};
-use snaps_index::{KeywordIndex, SimilarityIndex, DEFAULT_S_T};
+use snaps_index::{KeywordIndex, Postings, SimilarityIndex, DEFAULT_S_T};
 use snaps_model::EntityId;
 use snaps_obs::{Counter, HistogramHandle, Obs};
 
@@ -40,10 +44,16 @@ pub struct SearchEngine {
     first_name_sims: SimilarityIndex,
     surname_sims: SimilarityIndex,
     location_sims: SimilarityIndex,
+    /// Keyword posting position of each first-name value, by value id.
+    first_name_postings: Vec<usize>,
+    /// Keyword posting position of each surname value, by value id.
+    surname_postings: Vec<usize>,
     weights: QueryWeights,
     obs: Obs,
     n_queries: Counter,
     results_returned: Counter,
+    index_probes: Counter,
+    candidates_scored: Counter,
     latency: HistogramHandle,
 }
 
@@ -82,9 +92,9 @@ impl SearchEngine {
         let keyword = KeywordIndex::build(&graph);
         span.finish();
         let span = build_span.child("similarity_indices");
-        let first_name_sims = SimilarityIndex::build(keyword.first_name_values(), s_t);
-        let surname_sims = SimilarityIndex::build(keyword.surname_values(), s_t);
-        let location_sims = SimilarityIndex::build(keyword.location_values(), s_t);
+        let first_name_sims = SimilarityIndex::build(keyword.first_names().values(), s_t);
+        let surname_sims = SimilarityIndex::build(keyword.surnames().values(), s_t);
+        let location_sims = SimilarityIndex::build(keyword.locations().values(), s_t);
         span.finish();
         build_span.finish();
         Self::from_parts(graph, keyword, first_name_sims, surname_sims, location_sims, weights, obs)
@@ -94,7 +104,9 @@ impl SearchEngine {
     /// path (`snaps-serve`), which deserialises the graph and indexes
     /// instead of recomputing them. Wires the same instrumentation as
     /// [`SearchEngine::build_with_obs`], including the similarity indexes'
-    /// `index.sim_cache.*` counters.
+    /// `index.sim_cache.*` counters, and derives the value id → keyword
+    /// posting tables the query path uses (the postings themselves are not
+    /// copied).
     #[must_use]
     pub fn from_parts(
         graph: PedigreeGraph,
@@ -108,16 +120,22 @@ impl SearchEngine {
         first_name_sims.instrument(obs);
         surname_sims.instrument(obs);
         location_sims.instrument(obs);
+        let first_name_postings = posting_positions(&first_name_sims, keyword.first_names());
+        let surname_postings = posting_positions(&surname_sims, keyword.surnames());
         Self {
             graph,
             keyword,
             first_name_sims,
             surname_sims,
             location_sims,
+            first_name_postings,
+            surname_postings,
             weights,
             obs: obs.clone(),
             n_queries: obs.counter("query.count"),
             results_returned: obs.counter("query.results_returned"),
+            index_probes: obs.counter("query.index_probes"),
+            candidates_scored: obs.counter("query.candidates_scored"),
             latency: obs.histogram("query.latency"),
         }
     }
@@ -167,33 +185,163 @@ impl SearchEngine {
     /// instrumentation).
     pub fn query(&self, q: &QueryRecord, top_m: usize) -> Vec<RankedMatch> {
         let span = self.obs.span("query");
-        let results = process_query(
-            q,
-            &self.graph,
-            &self.keyword,
-            &self.first_name_sims,
-            &self.surname_sims,
-            &self.location_sims,
-            self.weights,
-            top_m,
-            &self.obs,
-        );
+        let results = self.process_query(q, top_m);
         self.latency.record(span.finish());
         self.n_queries.incr();
         self.results_returned.add(results.len() as u64);
         results
     }
+
+    /// Run the full §7 pipeline: accumulate name matches, refine with
+    /// optional attributes, rank, and normalise.
+    ///
+    /// Records `query.index_probes` (similarity-index lookups plus one
+    /// keyword bucket probe per matched name value) and
+    /// `query.candidates_scored`.
+    fn process_query(&self, q: &QueryRecord, top_m: usize) -> Vec<RankedMatch> {
+        // --- Accumulator M: entities with an exact or approximate name match,
+        // one entry per posting hit, then merged per entity keeping the best
+        // similarity of each name.
+        let mut acc: Vec<(EntityId, f64, f64)> = Vec::with_capacity(1024);
+        let fn_values = accumulate(
+            &mut acc,
+            &q.first_name,
+            &self.first_name_sims,
+            &self.first_name_postings,
+            self.keyword.first_names(),
+            |e, sim| (e, sim, 0.0),
+        );
+        let sn_values = accumulate(
+            &mut acc,
+            &q.surname,
+            &self.surname_sims,
+            &self.surname_postings,
+            self.keyword.surnames(),
+            |e, sim| (e, 0.0, sim),
+        );
+        self.index_probes.add(2); // the two similarity-index lookups
+        self.index_probes.add(fn_values + sn_values);
+        acc.sort_unstable_by_key(|&(e, _, _)| e);
+        acc.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(later.1);
+                kept.2 = kept.2.max(later.2);
+            }
+            same
+        });
+        self.candidates_scored.add(acc.len() as u64);
+
+        // --- Refinement: certificate kind, gender, year, location.
+        let locations = q.location.as_deref().map(|l| value_similarities(l, &self.location_sims));
+        if locations.is_some() {
+            self.index_probes.incr(); // location similarity-index lookup
+        }
+        let weights = self.weights;
+        let max_score = weights.max_score(q.provided());
+
+        let mut results: Vec<RankedMatch> = Vec::with_capacity(acc.len());
+        for (e, fn_sim, sn_sim) in acc {
+            // Ids come from the keyword index; `get` keeps the request path
+            // total even if an index/graph snapshot pair ever disagrees.
+            let Some(entity) = self.graph.get(e) else { continue };
+            if !kind_matches(entity, q.kind) || !geo_matches(entity, q.geo_filter) {
+                continue;
+            }
+            let mut score = weights.first_name * fn_sim + weights.surname * sn_sim;
+
+            let gender_score = q.gender.map(|g| {
+                let s = if entity.gender.compatible(g) { 1.0 } else { 0.0 };
+                score += weights.gender * s;
+                s
+            });
+            let year_sc = q.year_range.map(|range| {
+                let s = year_score(entity, q.kind, range);
+                score += weights.year * s;
+                s
+            });
+            let location_score = locations.as_deref().map(|sims| {
+                let s = entity
+                    .addresses
+                    .iter()
+                    .filter_map(|a| similarity_of(sims, a))
+                    .fold(0.0f64, f64::max);
+                score += weights.location * s;
+                s
+            });
+
+            results.push(RankedMatch {
+                entity: e,
+                score_percent: 100.0 * score / max_score,
+                first_name_sim: fn_sim,
+                surname_sim: sn_sim,
+                year_score: year_sc,
+                gender_score,
+                location_score,
+            });
+        }
+
+        // --- Top m under the total order (score descending, then entity).
+        let rank = |a: &RankedMatch, b: &RankedMatch| {
+            b.score_percent.total_cmp(&a.score_percent).then_with(|| a.entity.cmp(&b.entity))
+        };
+        if top_m < results.len() {
+            if let Some(last) = top_m.checked_sub(1) {
+                results.select_nth_unstable_by(last, rank);
+            }
+            results.truncate(top_m);
+        }
+        results.sort_unstable_by(rank);
+        results
+    }
 }
 
-/// Value → similarity map for one query value: the exact value at `1.0`
-/// plus every approximate match from the similarity index.
-fn value_similarities(value: &str, index: &SimilarityIndex) -> BTreeMap<String, f64> {
-    let mut map: BTreeMap<String, f64> = BTreeMap::new();
-    map.insert(value.to_string(), 1.0);
-    for (v, s) in index.lookup_or_compute(value).iter() {
-        map.entry(v.to_string()).or_insert(*s);
+/// Keyword posting position of every value of `sims`, by value id;
+/// `usize::MAX` (no posting) for a value the keyword index lacks.
+fn posting_positions(sims: &SimilarityIndex, postings: &Postings) -> Vec<usize> {
+    sims.indexed_values().iter().map(|v| postings.position(v).unwrap_or(usize::MAX)).collect()
+}
+
+/// Push `entry(entity, sim)` onto `acc` for every entity carrying `value`
+/// exactly (similarity 1.0) or one of its approximate matches. Returns the
+/// number of name values probed: the exact value plus each match.
+fn accumulate(
+    acc: &mut Vec<(EntityId, f64, f64)>,
+    value: &str,
+    sims: &SimilarityIndex,
+    positions: &[usize],
+    postings: &Postings,
+    entry: impl Fn(EntityId, f64) -> (EntityId, f64, f64),
+) -> u64 {
+    let matches = sims.lookup_or_compute(value);
+    let exact = sims.id_of(value).map(|id| (id, 1.0));
+    for (id, sim) in exact.into_iter().chain(matches.iter().copied()) {
+        let position = positions.get(id as usize).copied().unwrap_or(usize::MAX);
+        acc.extend(postings.at(position).iter().map(|&e| entry(e, sim)));
     }
-    map
+    1 + matches.len() as u64
+}
+
+/// `(value, similarity)` for one query value: the exact value at `1.0` plus
+/// every approximate match from the similarity index, sorted by value so
+/// [`similarity_of`] can binary-search it. The strings are borrowed from
+/// the query and the index.
+fn value_similarities<'a>(value: &'a str, index: &'a SimilarityIndex) -> Vec<(&'a str, f64)> {
+    let matches = index.lookup_or_compute(value);
+    let mut sims = Vec::with_capacity(1 + matches.len());
+    sims.push((value, 1.0));
+    let values = index.indexed_values();
+    sims.extend(matches.iter().filter_map(|&(id, s)| values.get(id as usize).map(|v| (&**v, s))));
+    // Stable, so the exact value stays ahead of an equal match and wins.
+    sims.sort_by(|a, b| a.0.cmp(b.0));
+    sims.dedup_by(|later, kept| later.0 == kept.0);
+    sims
+}
+
+/// Similarity of `value` in a list from [`value_similarities`].
+fn similarity_of(sims: &[(&str, f64)], value: &str) -> Option<f64> {
+    let at = sims.binary_search_by(|&(v, _)| v.cmp(value)).ok()?;
+    sims.get(at).map(|&(_, s)| s)
 }
 
 /// Does the entity match the searched certificate kind?
@@ -229,107 +377,6 @@ fn year_score(e: &PedigreeEntity, kind: SearchKind, range: (i32, i32)) -> f64 {
         0
     };
     (1.0 - f64::from(dist) / 3.0).max(0.0)
-}
-
-/// Run the full §7 pipeline: accumulate name matches, refine with optional
-/// attributes, rank, and normalise.
-///
-/// Records `query.index_probes` (similarity-index lookups plus keyword
-/// bucket probes) and `query.candidates_scored` on `obs`; pass
-/// [`Obs::disabled`] when calling outside an instrumented engine.
-#[allow(clippy::too_many_arguments)]
-pub fn process_query(
-    q: &QueryRecord,
-    graph: &PedigreeGraph,
-    keyword: &KeywordIndex,
-    first_name_sims: &SimilarityIndex,
-    surname_sims: &SimilarityIndex,
-    location_sims: &SimilarityIndex,
-    weights: QueryWeights,
-    top_m: usize,
-    obs: &Obs,
-) -> Vec<RankedMatch> {
-    let probes = obs.counter("query.index_probes");
-
-    // --- Accumulator M: entities with an exact or approximate name match.
-    let fn_map = value_similarities(&q.first_name, first_name_sims);
-    let sn_map = value_similarities(&q.surname, surname_sims);
-    probes.add(2); // the two similarity-index lookups
-
-    let mut acc: BTreeMap<EntityId, (f64, f64)> = BTreeMap::new();
-    for (value, &sim) in &fn_map {
-        for &e in keyword.by_first_name(value) {
-            let entry = acc.entry(e).or_insert((0.0, 0.0));
-            entry.0 = entry.0.max(sim);
-        }
-    }
-    for (value, &sim) in &sn_map {
-        for &e in keyword.by_surname(value) {
-            let entry = acc.entry(e).or_insert((0.0, 0.0));
-            entry.1 = entry.1.max(sim);
-        }
-    }
-    // One keyword bucket probe per matched name value.
-    probes.add((fn_map.len() + sn_map.len()) as u64);
-    obs.counter("query.candidates_scored").add(acc.len() as u64);
-
-    // --- Refinement: certificate kind, gender, year, location.
-    let loc_map = q.location.as_ref().map(|l| value_similarities(l, location_sims));
-    if loc_map.is_some() {
-        probes.incr(); // location similarity-index lookup
-    }
-    let provided = q.provided();
-    let max_score = weights.max_score(provided);
-
-    let mut results: Vec<RankedMatch> = acc
-        .into_iter()
-        .filter_map(|(e, (fn_sim, sn_sim))| {
-            // Ids come from the keyword index; `get` keeps the request path
-            // total even if an index/graph snapshot pair ever disagrees.
-            let entity = graph.get(e)?;
-            if !kind_matches(entity, q.kind) || !geo_matches(entity, q.geo_filter) {
-                return None;
-            }
-            let mut score = weights.first_name * fn_sim + weights.surname * sn_sim;
-
-            let gender_score = q.gender.map(|g| {
-                let s = if entity.gender.compatible(g) { 1.0 } else { 0.0 };
-                score += weights.gender * s;
-                s
-            });
-            let year_sc = q.year_range.map(|range| {
-                let s = year_score(entity, q.kind, range);
-                score += weights.year * s;
-                s
-            });
-            let location_score = loc_map.as_ref().map(|map| {
-                let s = entity
-                    .addresses
-                    .iter()
-                    .filter_map(|a| map.get(a))
-                    .copied()
-                    .fold(0.0f64, f64::max);
-                score += weights.location * s;
-                s
-            });
-
-            Some(RankedMatch {
-                entity: e,
-                score_percent: 100.0 * score / max_score,
-                first_name_sim: fn_sim,
-                surname_sim: sn_sim,
-                year_score: year_sc,
-                gender_score,
-                location_score,
-            })
-        })
-        .collect();
-
-    results.sort_by(|a, b| {
-        b.score_percent.total_cmp(&a.score_percent).then_with(|| a.entity.cmp(&b.entity))
-    });
-    results.truncate(top_m);
-    results
 }
 
 #[cfg(test)]
@@ -603,5 +650,261 @@ mod geo_filter_tests {
     fn zero_radius_panics() {
         let _ = QueryRecord::new("a", "b", SearchKind::Birth)
             .with_geo_filter(GeoPoint::new(0.0, 0.0), 0.0);
+    }
+}
+
+/// The dense-id query path against the string-keyed one it replaced, kept
+/// here as the oracle: on seeded random graphs and queries both must
+/// return bit-identical ranked lists and count the same work.
+#[cfg(test)]
+mod oracle_tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use snaps_model::person::GeoCoord;
+    use snaps_model::Gender;
+    use snaps_obs::ObsConfig;
+    use snaps_rng::{check_cases, Rng};
+    use snaps_strsim::geo::GeoPoint;
+
+    /// Value → similarity for one query value, keyed by string: the exact
+    /// value at `1.0` plus every approximate match.
+    fn string_similarities(value: &str, index: &SimilarityIndex) -> BTreeMap<String, f64> {
+        let mut map: BTreeMap<String, f64> = BTreeMap::new();
+        map.insert(value.to_string(), 1.0);
+        for &(id, s) in index.lookup_or_compute(value).iter() {
+            map.entry(index.indexed_values()[id as usize].to_string()).or_insert(s);
+        }
+        map
+    }
+
+    /// The string-keyed §7 pipeline: name maps, keyword probes by string,
+    /// a `BTreeMap` accumulator, and a full sort.
+    fn oracle(engine: &SearchEngine, q: &QueryRecord, top_m: usize, obs: &Obs) -> Vec<RankedMatch> {
+        let probes = obs.counter("query.index_probes");
+        let keyword = engine.keyword_index();
+        let fn_map = string_similarities(&q.first_name, engine.first_name_sims());
+        let sn_map = string_similarities(&q.surname, engine.surname_sims());
+        probes.add(2);
+
+        let mut acc: BTreeMap<EntityId, (f64, f64)> = BTreeMap::new();
+        for (value, &sim) in &fn_map {
+            for &e in keyword.first_names().get(value) {
+                let entry = acc.entry(e).or_insert((0.0, 0.0));
+                entry.0 = entry.0.max(sim);
+            }
+        }
+        for (value, &sim) in &sn_map {
+            for &e in keyword.surnames().get(value) {
+                let entry = acc.entry(e).or_insert((0.0, 0.0));
+                entry.1 = entry.1.max(sim);
+            }
+        }
+        probes.add((fn_map.len() + sn_map.len()) as u64);
+        obs.counter("query.candidates_scored").add(acc.len() as u64);
+
+        let loc_map = q.location.as_ref().map(|l| string_similarities(l, engine.location_sims()));
+        if loc_map.is_some() {
+            probes.incr();
+        }
+        let weights = engine.weights();
+        let max_score = weights.max_score(q.provided());
+        let mut results: Vec<RankedMatch> = acc
+            .into_iter()
+            .filter_map(|(e, (fn_sim, sn_sim))| {
+                let entity = engine.graph().get(e)?;
+                if !kind_matches(entity, q.kind) || !geo_matches(entity, q.geo_filter) {
+                    return None;
+                }
+                let mut score = weights.first_name * fn_sim + weights.surname * sn_sim;
+                let gender_score = q.gender.map(|g| {
+                    let s = if entity.gender.compatible(g) { 1.0 } else { 0.0 };
+                    score += weights.gender * s;
+                    s
+                });
+                let year_sc = q.year_range.map(|range| {
+                    let s = year_score(entity, q.kind, range);
+                    score += weights.year * s;
+                    s
+                });
+                let location_score = loc_map.as_ref().map(|map| {
+                    let s = entity
+                        .addresses
+                        .iter()
+                        .filter_map(|a| map.get(a))
+                        .copied()
+                        .fold(0.0f64, f64::max);
+                    score += weights.location * s;
+                    s
+                });
+                Some(RankedMatch {
+                    entity: e,
+                    score_percent: 100.0 * score / max_score,
+                    first_name_sim: fn_sim,
+                    surname_sim: sn_sim,
+                    year_score: year_sc,
+                    gender_score,
+                    location_score,
+                })
+            })
+            .collect();
+        results.sort_by(|a, b| {
+            b.score_percent.total_cmp(&a.score_percent).then_with(|| a.entity.cmp(&b.entity))
+        });
+        results.truncate(top_m);
+        results
+    }
+
+    /// A short word over a small alphabet, so values collide and resemble
+    /// each other often.
+    fn word(rng: &mut Rng) -> String {
+        let len = rng.gen_range(3..=7);
+        (0..len).map(|_| char::from(rng.gen_range(b'a'..=b'f'))).collect()
+    }
+
+    fn pick<'a>(rng: &mut Rng, values: &'a [String]) -> &'a str {
+        &values[rng.gen_range(0..values.len())]
+    }
+
+    /// Drop one letter: a name the indexes have (almost surely) not seen.
+    fn typo(rng: &mut Rng, v: &str) -> String {
+        let at = rng.gen_range(0..v.len());
+        v.chars().enumerate().filter(|&(i, _)| i != at).map(|(_, c)| c).collect()
+    }
+
+    /// 8-60 entities drawing names and places from small pools, some with
+    /// two of each, a few geocoded.
+    fn random_graph(rng: &mut Rng) -> (PedigreeGraph, [Vec<String>; 3]) {
+        let pools: [Vec<String>; 3] =
+            [0, 1, 2].map(|_| (0..rng.gen_range(3..12)).map(|_| word(rng)).collect());
+        let n = rng.gen_range(8..60);
+        let entities = (0..n)
+            .map(|i| {
+                let mut values = |pool: &[String]| {
+                    let mut vs = vec![pick(rng, pool).to_owned()];
+                    if rng.gen_bool(0.3) {
+                        let v = pick(rng, pool).to_owned();
+                        if !vs.contains(&v) {
+                            vs.push(v);
+                        }
+                    }
+                    vs
+                };
+                let (first_names, surnames, addresses) =
+                    (values(&pools[0]), values(&pools[1]), values(&pools[2]));
+                let geos = if rng.gen_bool(0.5) {
+                    vec![GeoCoord {
+                        lat: rng.gen_range(57.0..57.6),
+                        lon: rng.gen_range(-6.5..-5.8),
+                    }]
+                } else {
+                    Vec::new()
+                };
+                let has_birth_record = rng.gen_bool(0.7);
+                PedigreeEntity {
+                    id: EntityId::from_index(i),
+                    records: Vec::new(),
+                    first_names,
+                    surnames,
+                    addresses,
+                    occupations: Vec::new(),
+                    geos,
+                    gender: [Gender::Female, Gender::Male, Gender::Unknown]
+                        [rng.gen_range(0..3usize)],
+                    birth_year: rng.gen_bool(0.8).then(|| rng.gen_range(1850..1880)),
+                    death_year: rng.gen_bool(0.5).then(|| rng.gen_range(1860..1900)),
+                    has_birth_record,
+                    has_death_record: !has_birth_record || rng.gen_bool(0.3),
+                    event_years: Vec::new(),
+                }
+            })
+            .collect();
+        (PedigreeGraph::from_parts(entities, Vec::new(), Vec::new()), pools)
+    }
+
+    /// A query from the pools: names exact or typo'd, a random kind, and
+    /// each optional attribute half the time (the location exact or typo'd).
+    fn random_query(rng: &mut Rng, pools: &[Vec<String>; 3]) -> QueryRecord {
+        let name = |rng: &mut Rng, pool: &[String]| {
+            let v = pick(rng, pool).to_owned();
+            if rng.gen_bool(0.3) {
+                typo(rng, &v)
+            } else {
+                v
+            }
+        };
+        let first = name(rng, &pools[0]);
+        let surname = name(rng, &pools[1]);
+        let kind = if rng.gen_bool(0.5) { SearchKind::Birth } else { SearchKind::Death };
+        let mut q = QueryRecord::new(&first, &surname, kind);
+        if rng.gen_bool(0.5) {
+            q = q.with_gender(if rng.gen_bool(0.5) { Gender::Female } else { Gender::Male });
+        }
+        if rng.gen_bool(0.5) {
+            let lo = rng.gen_range(1850..1890);
+            q = q.with_years(lo, lo + rng.gen_range(0..6));
+        }
+        if rng.gen_bool(0.5) {
+            q = q.with_location(&name(rng, &pools[2]));
+        }
+        if rng.gen_bool(0.25) {
+            let centre = GeoPoint::new(rng.gen_range(57.0..57.6), rng.gen_range(-6.5..-5.8));
+            q = q.with_geo_filter(centre, rng.gen_range(5.0..40.0));
+        }
+        q
+    }
+
+    fn assert_bit_equal(got: &[RankedMatch], want: &[RankedMatch], q: &QueryRecord) {
+        let bits = |m: &RankedMatch| {
+            (
+                m.entity,
+                m.score_percent.to_bits(),
+                m.first_name_sim.to_bits(),
+                m.surname_sim.to_bits(),
+                m.year_score.map(f64::to_bits),
+                m.gender_score.map(f64::to_bits),
+                m.location_score.map(f64::to_bits),
+            )
+        };
+        let (got, want): (Vec<_>, Vec<_>) =
+            (got.iter().map(bits).collect(), want.iter().map(bits).collect());
+        assert_eq!(got, want, "query {q:?}");
+    }
+
+    #[test]
+    fn dense_id_path_matches_the_string_keyed_oracle() {
+        check_cases(48, |rng| {
+            let (graph, pools) = random_graph(rng);
+            let n = graph.len();
+            let obs = Obs::new(&ObsConfig::full());
+            let engine = SearchEngine::build_obs(graph, &obs);
+            let oracle_obs = Obs::new(&ObsConfig::full());
+            for _ in 0..24 {
+                let q = random_query(rng, &pools);
+                for m in [1, 10, n + 1] {
+                    let want = oracle(&engine, &q, m, &oracle_obs);
+                    assert_bit_equal(&engine.query(&q, m), &want, &q);
+                }
+            }
+            let (got, want) = (obs.report().unwrap(), oracle_obs.report().unwrap());
+            for counter in ["query.index_probes", "query.candidates_scored"] {
+                assert_eq!(got.counter(counter), want.counter(counter), "{counter}");
+            }
+        });
+    }
+
+    /// Ties in score are broken by entity id whichever `m` cuts the list.
+    #[test]
+    fn top_m_is_a_prefix_of_the_full_ranking() {
+        check_cases(16, |rng| {
+            let (graph, pools) = random_graph(rng);
+            let n = graph.len();
+            let engine = SearchEngine::build(graph);
+            let q = random_query(rng, &pools);
+            let all = engine.query(&q, n + 1);
+            for m in 0..=all.len() {
+                assert_eq!(engine.query(&q, m), all[..m], "m = {m}");
+            }
+        });
     }
 }

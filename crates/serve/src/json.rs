@@ -9,6 +9,22 @@ use std::fmt::Write as _;
 /// Append `s` as a JSON string literal (quotes included, escapes applied).
 pub fn string(out: &mut String, s: &str) {
     out.push('"');
+    escaped(out, s);
+    out.push('"');
+}
+
+/// Append `first second` as one JSON string literal: the same bytes as
+/// [`string`] of the space-joined pair, without building the pair.
+pub fn pair(out: &mut String, first: &str, second: &str) {
+    out.push('"');
+    escaped(out, first);
+    out.push(' ');
+    escaped(out, second);
+    out.push('"');
+}
+
+/// Append the characters of `s` with JSON escapes applied, no quotes.
+fn escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -22,7 +38,6 @@ pub fn string(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Append `"key": ` (with trailing separator space).
@@ -68,6 +83,16 @@ mod tests {
         let mut out = String::new();
         string(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+    }
+
+    #[test]
+    fn pair_matches_string_of_the_joined_pair() {
+        for (a, b) in [("flora", "macrae"), ("?", "o\"neil"), ("", "\n"), ("a\u{1}", "?")] {
+            let (mut joined, mut paired) = (String::new(), String::new());
+            string(&mut joined, &format!("{a} {b}"));
+            pair(&mut paired, a, b);
+            assert_eq!(paired, joined);
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use snaps_core::PedigreeEntity;
 use snaps_model::{EntityId, Gender};
 use snaps_obs::{Counter, Gauge, Obs, TraceRecord, TraceRing, DEFAULT_TRACE_CAPACITY};
 use snaps_pedigree::{extract, DEFAULT_GENERATIONS};
@@ -939,8 +940,10 @@ fn search<'a>(req: &Request, ctx: &Ctx, out: &'a mut String) -> (Response<'a>, R
         let _ = write!(out, "{}", r.entity.0);
         out.push_str(", ");
         json::key(out, "name");
-        let name = ctx.engine.graph().get(r.entity).map(|e| e.display_name()).unwrap_or_default();
-        json::string(out, &name);
+        match ctx.engine.graph().get(r.entity).map(PedigreeEntity::name_parts) {
+            Some((first, surname)) => json::pair(out, first, surname),
+            None => json::string(out, ""),
+        }
         out.push_str(", ");
         json::key(out, "score_percent");
         json::f64(out, r.score_percent);
@@ -1007,7 +1010,8 @@ fn pedigree<'a>(
         let _ = write!(out, "{}", m.entity.0);
         out.push_str(", ");
         json::key(out, "name");
-        json::string(out, &e.display_name());
+        let (first, surname) = e.name_parts();
+        json::pair(out, first, surname);
         out.push_str(", ");
         json::key(out, "gender");
         json::string(out, e.gender.code());

@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use snaps_core::{PedigreeEntity, PedigreeGraph};
-use snaps_index::simindex::{MatchIds, Matches};
+use snaps_index::simindex::Matches;
 use snaps_index::{KeywordIndex, SimilarityIndex};
 use snaps_model::{person::GeoCoord, EntityId, Gender, RecordId, Relationship};
 use snaps_obs::Obs;
@@ -198,10 +198,18 @@ fn sim_size(index: &SimilarityIndex, entries: &[(&str, &Matches)]) -> usize {
     let matches: usize = entries
         .iter()
         .map(|(value, m)| {
-            4 + value.len() + 4 + m.iter().map(|(other, _)| 4 + other.len() + 8).sum::<usize>()
+            let others: usize =
+                m.iter().map(|&(other, _)| 4 + value_of(index, other).len() + 8).sum();
+            4 + value.len() + 4 + others
         })
         .sum();
     8 + strings_size(index.indexed_values()) + 4 + matches
+}
+
+/// Indexed value `id` of `index`; match lists only name indexed values, so
+/// the empty fallback is never written.
+fn value_of(index: &SimilarityIndex, id: u32) -> &str {
+    index.indexed_values().get(id as usize).map_or("", |v| v)
 }
 
 fn write_strings(w: &mut Writer, strings: &[impl AsRef<str>]) {
@@ -346,19 +354,9 @@ fn decode_graph(bytes: &[u8]) -> Result<PedigreeGraph, SnapshotError> {
     if r.remaining() != 0 {
         return Err(SnapshotError::Corrupt("trailing bytes after graph section"));
     }
-
-    // Adjacency is derived data: rebuild exactly as `PedigreeGraph::build_with`.
-    // Endpoints were range-checked above, so `get_mut` always hits.
-    let mut adjacency = vec![Vec::new(); entities.len()];
-    for &(a, b, rel) in &edges {
-        if let Some(adj) = adjacency.get_mut(a.index()) {
-            adj.push((b, rel));
-        }
-    }
-    for adj in &mut adjacency {
-        adj.sort_unstable();
-    }
-    Ok(PedigreeGraph { entities, edges, adjacency, record_entity })
+    // Adjacency and out-edge lists are derived data, rebuilt exactly as
+    // `PedigreeGraph::build_with` builds them.
+    Ok(PedigreeGraph::from_parts(entities, edges, record_entity))
 }
 
 fn encode_keyword_map(w: &mut Writer, entries: Vec<(&str, &[EntityId])>) {
@@ -394,9 +392,9 @@ fn decode_keyword_map(
 }
 
 fn encode_keyword(keyword: &KeywordIndex) -> Vec<u8> {
-    let first: Vec<(&str, &[EntityId])> = keyword.first_name_entries().collect();
-    let sur: Vec<(&str, &[EntityId])> = keyword.surname_entries().collect();
-    let loc: Vec<(&str, &[EntityId])> = keyword.location_entries().collect();
+    let first: Vec<(&str, &[EntityId])> = keyword.first_names().entries().collect();
+    let sur: Vec<(&str, &[EntityId])> = keyword.surnames().entries().collect();
+    let loc: Vec<(&str, &[EntityId])> = keyword.locations().entries().collect();
     let cap = keyword_map_size(&first) + keyword_map_size(&sur) + keyword_map_size(&loc);
     let mut w = Writer::with_capacity(cap);
     encode_keyword_map(&mut w, first);
@@ -426,9 +424,9 @@ fn encode_sim(index: &SimilarityIndex) -> Vec<u8> {
     for (value, matches) in entries {
         w.string(value);
         w.u32(len_u32(matches.len()));
-        for (other, sim) in matches {
-            w.string(other);
-            w.f64(*sim);
+        for &(other, sim) in matches {
+            w.string(value_of(index, other));
+            w.f64(sim);
         }
     }
     w.into_bytes()
@@ -446,8 +444,8 @@ fn decode_sim(bytes: &[u8]) -> Result<SimilarityIndex, SnapshotError> {
         return Err(SnapshotError::Corrupt("match-list count differs from value count"));
     }
     // Match strings are resolved to value ids as they are read and then
-    // dropped: the restored lists hold the index's own strings only. The
-    // map is only probed, never iterated, so its order cannot leak out.
+    // dropped: the restored lists are id lists, as the index keeps them.
+    // The map is only probed, never iterated, so its order cannot leak out.
     let ids: HashMap<&str, u32> = values.iter().zip(0..).map(|(v, id)| (&**v, id)).collect();
     let id_of = |value: &str, missing: &'static str| {
         ids.get(value).copied().ok_or(SnapshotError::Corrupt(missing))
@@ -456,7 +454,7 @@ fn decode_sim(bytes: &[u8]) -> Result<SimilarityIndex, SnapshotError> {
     for _ in 0..n {
         let value = id_of(&r.string()?, "match list for un-indexed value")?;
         let n_m = r.len(12)?;
-        let m: MatchIds = (0..n_m)
+        let m: Matches = (0..n_m)
             .map(|_| Ok((id_of(&r.string()?, "match names an un-indexed value")?, r.f64()?)))
             .collect::<Result<_, SnapshotError>>()?;
         matches.push((value, m));
@@ -655,8 +653,8 @@ mod tests {
         assert_eq!(restored.graph().edges, e.graph().edges);
         assert_eq!(restored.graph().record_entity, e.graph().record_entity);
         assert_eq!(
-            restored.keyword_index().distinct_first_names(),
-            e.keyword_index().distinct_first_names()
+            restored.keyword_index().first_names().len(),
+            e.keyword_index().first_names().len()
         );
         assert_eq!(restored.first_name_sims().len(), e.first_name_sims().len());
         assert_eq!(restored.first_name_sims().lookup("flora"), e.first_name_sims().lookup("flora"));
@@ -704,11 +702,10 @@ mod tests {
     }
 
     #[test]
-    fn decoded_matches_share_the_indexed_strings() {
+    fn decoded_matches_name_values_by_id() {
         let index = decode_sim(&sim_section("anna")).expect("valid section");
         let m = index.lookup("ann").expect("indexed");
-        let anna = index.indexed_values().iter().find(|v| &***v == "anna").expect("indexed");
-        assert!(Arc::ptr_eq(&m[0].0, anna));
+        assert_eq!(m.as_slice(), [(index.id_of("anna").expect("indexed"), 0.9)]);
         assert_eq!(encode_sim(&index), sim_section("anna"), "re-encodes to the same bytes");
     }
 
