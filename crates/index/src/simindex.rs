@@ -281,15 +281,24 @@ impl SimilarityIndex {
     /// Takes `&self`: safe to call from many threads on one shared index.
     #[must_use]
     pub fn lookup_or_compute(&self, v: &str) -> Arc<Matches> {
-        if let Some(m) = self.position(v).and_then(|id| self.matches.get(id)) {
-            return Arc::clone(m);
+        self.lookup_with_id(v).1
+    }
+
+    /// [`Self::id_of`] and [`Self::lookup_or_compute`] together, from one
+    /// search of the value table: `v`'s id when it is indexed, and its
+    /// matches either way.
+    #[must_use]
+    pub fn lookup_with_id(&self, v: &str) -> (Option<u32>, Arc<Matches>) {
+        let id = self.id_of(v);
+        if let Some(m) = id.and_then(|id| self.matches.get(id as usize)) {
+            return (id, Arc::clone(m));
         }
         if let Some(m) = self.cache.get(v) {
-            return m;
+            return (id, m);
         }
         let m = Arc::new(self.compute_matches(v));
         self.cache.insert(v, Arc::clone(&m));
-        m
+        (id, m)
     }
 }
 
@@ -360,6 +369,7 @@ mod tests {
         assert_eq!(i.len(), 5);
         assert!(i.lookup("macdonalds").is_none(), "not among pre-computed");
         assert_eq!(i.id_of("macdonalds"), None);
+        assert_eq!(i.lookup_with_id("macdonalds"), (None, m));
         let others = i.lookup("macdonald").unwrap();
         assert!(others.iter().all(|&(id, _)| (id as usize) < i.len()));
     }
@@ -369,6 +379,7 @@ mod tests {
         let i = idx();
         let m = i.lookup_or_compute("macdonald");
         assert_eq!(&*m, i.lookup("macdonald").unwrap());
+        assert_eq!(i.lookup_with_id("macdonald"), (Some(0), m));
         assert_eq!(i.cached_queries(), 0, "indexed values never enter the cache");
     }
 

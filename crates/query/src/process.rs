@@ -3,12 +3,16 @@
 //! A query works on dense ids, not strings: the similarity indexes name
 //! each matched value by its value id, the engine maps a value id to its
 //! keyword posting through a table derived once at assembly, and the
-//! accumulator is a flat vector of `(entity, first-name sim, surname sim)`
-//! sorted and merged by entity.
+//! accumulator is a dense per-entity table borrowed from a small pool.
+//! Names and the location are all scored through their postings; each
+//! candidate is refined from a compact per-entity row, and the top `m` are
+//! picked over `(score, entity)` keys.
+
+use std::sync::{Mutex, PoisonError};
 
 use snaps_core::{PedigreeEntity, PedigreeGraph};
 use snaps_index::{KeywordIndex, Postings, SimilarityIndex, DEFAULT_S_T};
-use snaps_model::EntityId;
+use snaps_model::{EntityId, Gender};
 use snaps_obs::{Counter, HistogramHandle, Obs};
 
 use crate::query::{QueryRecord, QueryWeights, SearchKind};
@@ -35,8 +39,9 @@ pub struct RankedMatch {
 /// The online search service: pedigree graph + indices, ready for queries.
 ///
 /// Queries take `&self`: the §7 memoisation of unseen query values lives in
-/// the similarity indexes' internal sharded caches, so one engine can be
-/// shared across threads (e.g. behind an `Arc` in `snaps-serve`).
+/// the similarity indexes' internal sharded caches, and each query borrows
+/// its accumulator from a pool, so one engine can be shared across threads
+/// (e.g. behind an `Arc` in `snaps-serve`).
 #[derive(Debug)]
 pub struct SearchEngine {
     graph: PedigreeGraph,
@@ -48,6 +53,13 @@ pub struct SearchEngine {
     first_name_postings: Vec<usize>,
     /// Keyword posting position of each surname value, by value id.
     surname_postings: Vec<usize>,
+    /// Keyword posting position of each location value, by value id.
+    location_postings: Vec<usize>,
+    /// The fields refinement reads, per entity, by entity index.
+    rows: Vec<EntityRow>,
+    /// Idle accumulators; a query pops one (or makes one when none is
+    /// idle) and pushes it back clean.
+    pool: Mutex<Vec<Accumulator>>,
     weights: QueryWeights,
     obs: Obs,
     n_queries: Counter,
@@ -55,6 +67,129 @@ pub struct SearchEngine {
     index_probes: Counter,
     candidates_scored: Counter,
     latency: HistogramHandle,
+}
+
+/// The fields of a [`PedigreeEntity`] that refinement scores, copied out
+/// once so a candidate costs one small read instead of the whole entity.
+#[derive(Debug, Clone, Copy)]
+struct EntityRow {
+    has_birth_record: bool,
+    has_death_record: bool,
+    gender: Gender,
+    birth_year: Option<i32>,
+    death_year: Option<i32>,
+}
+
+impl EntityRow {
+    fn of(e: &PedigreeEntity) -> Self {
+        Self {
+            has_birth_record: e.has_birth_record,
+            has_death_record: e.has_death_record,
+            gender: e.gender,
+            birth_year: e.birth_year,
+            death_year: e.death_year,
+        }
+    }
+}
+
+/// One entity's accumulator slot: the best similarity of each queried
+/// value among the entity's values, and whether a name posting reached it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    first_name: f64,
+    surname: f64,
+    location: f64,
+    seen: bool,
+}
+
+/// Accumulator M of one query: a slot per entity, the entities a name
+/// posting reached (in the order reached), and the rank keys of those that
+/// pass refinement. Only touched slots are reset, so a query's cost does
+/// not depend on the number of entities.
+#[derive(Debug)]
+struct Accumulator {
+    slots: Vec<Slot>,
+    touched: Vec<EntityId>,
+    keys: Vec<(u64, EntityId)>,
+}
+
+impl Accumulator {
+    fn new(entities: usize) -> Self {
+        Self { slots: vec![Slot::default(); entities], touched: Vec::new(), keys: Vec::new() }
+    }
+
+    /// Raise the `field` similarity of every entity carrying `value`
+    /// exactly or one of its approximate matches, marking each as a
+    /// candidate. Returns the number of name values probed.
+    fn add_name(
+        &mut self,
+        field: fn(&mut Slot) -> &mut f64,
+        value: &str,
+        sims: &SimilarityIndex,
+        positions: &[usize],
+        postings: &Postings,
+    ) -> u64 {
+        for_each_hit(value, sims, positions, postings, |e, sim| {
+            // Postings name graph entities; `get_mut` keeps the request
+            // path total if a caller-built index/graph pair disagrees.
+            let Some(slot) = self.slots.get_mut(e.index()) else { return };
+            if !slot.seen {
+                slot.seen = true;
+                self.touched.push(e);
+            }
+            let best = field(slot);
+            *best = best.max(sim);
+        })
+    }
+
+    /// Raise the location similarity of every candidate carrying `value`
+    /// exactly or one of its approximate matches; entities no name posting
+    /// reached stay untouched.
+    fn add_location(
+        &mut self,
+        value: &str,
+        sims: &SimilarityIndex,
+        positions: &[usize],
+        postings: &Postings,
+    ) {
+        for_each_hit(value, sims, positions, postings, |e, sim| {
+            if let Some(slot) = self.slots.get_mut(e.index()).filter(|s| s.seen) {
+                slot.location = slot.location.max(sim);
+            }
+        });
+    }
+
+    /// Clear the touched slots and the keys, leaving the accumulator as
+    /// [`Accumulator::new`] made it.
+    fn reset(&mut self) {
+        for e in self.touched.drain(..) {
+            if let Some(slot) = self.slots.get_mut(e.index()) {
+                *slot = Slot::default();
+            }
+        }
+        self.keys.clear();
+    }
+}
+
+/// Call `hit(entity, similarity)` for every entity in the keyword posting
+/// of `value` (similarity 1.0, when indexed) and of each of its approximate
+/// matches; `positions` maps a value id of `sims` to its posting. Returns
+/// the number of values probed: the exact value plus each match.
+fn for_each_hit(
+    value: &str,
+    sims: &SimilarityIndex,
+    positions: &[usize],
+    postings: &Postings,
+    mut hit: impl FnMut(EntityId, f64),
+) -> u64 {
+    let (exact, matches) = sims.lookup_with_id(value);
+    for (id, sim) in exact.map(|id| (id, 1.0)).into_iter().chain(matches.iter().copied()) {
+        let position = positions.get(id as usize).copied().unwrap_or(usize::MAX);
+        for &e in postings.at(position) {
+            hit(e, sim);
+        }
+    }
+    1 + matches.len() as u64
 }
 
 impl SearchEngine {
@@ -104,9 +239,9 @@ impl SearchEngine {
     /// path (`snaps-serve`), which deserialises the graph and indexes
     /// instead of recomputing them. Wires the same instrumentation as
     /// [`SearchEngine::build_with_obs`], including the similarity indexes'
-    /// `index.sim_cache.*` counters, and derives the value id → keyword
-    /// posting tables the query path uses (the postings themselves are not
-    /// copied).
+    /// `index.sim_cache.*` counters, and derives what the query path reads:
+    /// the value id → keyword posting tables of the three fields (the
+    /// postings themselves are not copied) and each entity's scoring row.
     #[must_use]
     pub fn from_parts(
         graph: PedigreeGraph,
@@ -122,6 +257,8 @@ impl SearchEngine {
         location_sims.instrument(obs);
         let first_name_postings = posting_positions(&first_name_sims, keyword.first_names());
         let surname_postings = posting_positions(&surname_sims, keyword.surnames());
+        let location_postings = posting_positions(&location_sims, keyword.locations());
+        let rows = graph.entities.iter().map(EntityRow::of).collect();
         Self {
             graph,
             keyword,
@@ -130,6 +267,9 @@ impl SearchEngine {
             location_sims,
             first_name_postings,
             surname_postings,
+            location_postings,
+            rows,
+            pool: Mutex::new(Vec::new()),
             weights,
             obs: obs.clone(),
             n_queries: obs.counter("query.count"),
@@ -185,114 +325,127 @@ impl SearchEngine {
     /// instrumentation).
     pub fn query(&self, q: &QueryRecord, top_m: usize) -> Vec<RankedMatch> {
         let span = self.obs.span("query");
-        let results = self.process_query(q, top_m);
+        let pooled = self.pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let mut acc = pooled.unwrap_or_else(|| Accumulator::new(self.rows.len()));
+        let results = self.process_query(&mut acc, q, top_m);
+        acc.reset();
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner).push(acc);
         self.latency.record(span.finish());
         self.n_queries.incr();
         self.results_returned.add(results.len() as u64);
         results
     }
 
-    /// Run the full §7 pipeline: accumulate name matches, refine with
-    /// optional attributes, rank, and normalise.
+    /// Run the full §7 pipeline on a clean accumulator: accumulate name
+    /// matches, refine with optional attributes, rank, and normalise.
     ///
     /// Records `query.index_probes` (similarity-index lookups plus one
     /// keyword bucket probe per matched name value) and
-    /// `query.candidates_scored`.
-    fn process_query(&self, q: &QueryRecord, top_m: usize) -> Vec<RankedMatch> {
-        // --- Accumulator M: entities with an exact or approximate name match,
-        // one entry per posting hit, then merged per entity keeping the best
-        // similarity of each name.
-        let mut acc: Vec<(EntityId, f64, f64)> = Vec::with_capacity(1024);
-        let fn_values = accumulate(
-            &mut acc,
+    /// `query.candidates_scored`. The location's posting probes are not
+    /// counted — only its one similarity-index lookup is — so the counter
+    /// stays comparable with versions that scored location by string.
+    fn process_query(
+        &self,
+        acc: &mut Accumulator,
+        q: &QueryRecord,
+        top_m: usize,
+    ) -> Vec<RankedMatch> {
+        // --- Accumulator M: entities with an exact or approximate name
+        // match, keeping the best similarity of each name.
+        let fn_values = acc.add_name(
+            |s| &mut s.first_name,
             &q.first_name,
             &self.first_name_sims,
             &self.first_name_postings,
             self.keyword.first_names(),
-            |e, sim| (e, sim, 0.0),
         );
-        let sn_values = accumulate(
-            &mut acc,
+        let sn_values = acc.add_name(
+            |s| &mut s.surname,
             &q.surname,
             &self.surname_sims,
             &self.surname_postings,
             self.keyword.surnames(),
-            |e, sim| (e, 0.0, sim),
         );
         self.index_probes.add(2); // the two similarity-index lookups
         self.index_probes.add(fn_values + sn_values);
-        acc.sort_unstable_by_key(|&(e, _, _)| e);
-        acc.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 = kept.1.max(later.1);
-                kept.2 = kept.2.max(later.2);
-            }
-            same
-        });
-        self.candidates_scored.add(acc.len() as u64);
+        self.candidates_scored.add(acc.touched.len() as u64);
 
         // --- Refinement: certificate kind, gender, year, location.
-        let locations = q.location.as_deref().map(|l| value_similarities(l, &self.location_sims));
-        if locations.is_some() {
+        if let Some(location) = q.location.as_deref() {
+            acc.add_location(
+                location,
+                &self.location_sims,
+                &self.location_postings,
+                self.keyword.locations(),
+            );
             self.index_probes.incr(); // location similarity-index lookup
         }
-        let weights = self.weights;
-        let max_score = weights.max_score(q.provided());
-
-        let mut results: Vec<RankedMatch> = Vec::with_capacity(acc.len());
-        for (e, fn_sim, sn_sim) in acc {
-            // Ids come from the keyword index; `get` keeps the request path
-            // total even if an index/graph snapshot pair ever disagrees.
-            let Some(entity) = self.graph.get(e) else { continue };
-            if !kind_matches(entity, q.kind) || !geo_matches(entity, q.geo_filter) {
+        let max_score = self.weights.max_score(q.provided());
+        let Accumulator { slots, touched, keys } = acc;
+        for &e in touched.iter() {
+            let (Some(row), Some(slot)) = (self.rows.get(e.index()), slots.get(e.index())) else {
+                continue;
+            };
+            // The full entity is read only for a geo filter.
+            let in_region = q.geo_filter.is_none()
+                || self.graph.get(e).is_some_and(|entity| geo_matches(entity, q.geo_filter));
+            if !kind_matches(row, q.kind) || !in_region {
                 continue;
             }
-            let mut score = weights.first_name * fn_sim + weights.surname * sn_sim;
-
-            let gender_score = q.gender.map(|g| {
-                let s = if entity.gender.compatible(g) { 1.0 } else { 0.0 };
-                score += weights.gender * s;
-                s
-            });
-            let year_sc = q.year_range.map(|range| {
-                let s = year_score(entity, q.kind, range);
-                score += weights.year * s;
-                s
-            });
-            let location_score = locations.as_deref().map(|sims| {
-                let s = entity
-                    .addresses
-                    .iter()
-                    .filter_map(|a| similarity_of(sims, a))
-                    .fold(0.0f64, f64::max);
-                score += weights.location * s;
-                s
-            });
-
-            results.push(RankedMatch {
-                entity: e,
-                score_percent: 100.0 * score / max_score,
-                first_name_sim: fn_sim,
-                surname_sim: sn_sim,
-                year_score: year_sc,
-                gender_score,
-                location_score,
-            });
+            keys.push(rank_key(self.rank(q, max_score, e, row, slot).score_percent, e));
         }
 
-        // --- Top m under the total order (score descending, then entity).
-        let rank = |a: &RankedMatch, b: &RankedMatch| {
-            b.score_percent.total_cmp(&a.score_percent).then_with(|| a.entity.cmp(&b.entity))
-        };
-        if top_m < results.len() {
+        // --- Top m under the total order (score descending, then entity):
+        // the keys order exactly so, and no two are equal.
+        if top_m < keys.len() {
             if let Some(last) = top_m.checked_sub(1) {
-                results.select_nth_unstable_by(last, rank);
+                keys.select_nth_unstable(last);
             }
-            results.truncate(top_m);
+            keys.truncate(top_m);
         }
-        results.sort_unstable_by(rank);
-        results
+        keys.sort_unstable();
+        keys.iter()
+            .filter_map(|&(_, e)| {
+                let (row, slot) = (self.rows.get(e.index())?, slots.get(e.index())?);
+                Some(self.rank(q, max_score, e, row, slot))
+            })
+            .collect()
+    }
+
+    /// Score one candidate from its scoring row and accumulator slot.
+    fn rank(
+        &self,
+        q: &QueryRecord,
+        max_score: f64,
+        entity: EntityId,
+        row: &EntityRow,
+        slot: &Slot,
+    ) -> RankedMatch {
+        let weights = self.weights;
+        let mut score = weights.first_name * slot.first_name + weights.surname * slot.surname;
+        let gender_score = q.gender.map(|g| {
+            let s = if row.gender.compatible(g) { 1.0 } else { 0.0 };
+            score += weights.gender * s;
+            s
+        });
+        let year_score = q.year_range.map(|range| {
+            let s = year_score(row, q.kind, range);
+            score += weights.year * s;
+            s
+        });
+        let location_score = q.location.as_ref().map(|_| {
+            score += weights.location * slot.location;
+            slot.location
+        });
+        RankedMatch {
+            entity,
+            score_percent: 100.0 * score / max_score,
+            first_name_sim: slot.first_name,
+            surname_sim: slot.surname,
+            year_score,
+            gender_score,
+            location_score,
+        }
     }
 }
 
@@ -302,53 +455,20 @@ fn posting_positions(sims: &SimilarityIndex, postings: &Postings) -> Vec<usize> 
     sims.indexed_values().iter().map(|v| postings.position(v).unwrap_or(usize::MAX)).collect()
 }
 
-/// Push `entry(entity, sim)` onto `acc` for every entity carrying `value`
-/// exactly (similarity 1.0) or one of its approximate matches. Returns the
-/// number of name values probed: the exact value plus each match.
-fn accumulate(
-    acc: &mut Vec<(EntityId, f64, f64)>,
-    value: &str,
-    sims: &SimilarityIndex,
-    positions: &[usize],
-    postings: &Postings,
-    entry: impl Fn(EntityId, f64) -> (EntityId, f64, f64),
-) -> u64 {
-    let matches = sims.lookup_or_compute(value);
-    let exact = sims.id_of(value).map(|id| (id, 1.0));
-    for (id, sim) in exact.into_iter().chain(matches.iter().copied()) {
-        let position = positions.get(id as usize).copied().unwrap_or(usize::MAX);
-        acc.extend(postings.at(position).iter().map(|&e| entry(e, sim)));
-    }
-    1 + matches.len() as u64
-}
-
-/// `(value, similarity)` for one query value: the exact value at `1.0` plus
-/// every approximate match from the similarity index, sorted by value so
-/// [`similarity_of`] can binary-search it. The strings are borrowed from
-/// the query and the index.
-fn value_similarities<'a>(value: &'a str, index: &'a SimilarityIndex) -> Vec<(&'a str, f64)> {
-    let matches = index.lookup_or_compute(value);
-    let mut sims = Vec::with_capacity(1 + matches.len());
-    sims.push((value, 1.0));
-    let values = index.indexed_values();
-    sims.extend(matches.iter().filter_map(|&(id, s)| values.get(id as usize).map(|v| (&**v, s))));
-    // Stable, so the exact value stays ahead of an equal match and wins.
-    sims.sort_by(|a, b| a.0.cmp(b.0));
-    sims.dedup_by(|later, kept| later.0 == kept.0);
-    sims
-}
-
-/// Similarity of `value` in a list from [`value_similarities`].
-fn similarity_of(sims: &[(&str, f64)], value: &str) -> Option<f64> {
-    let at = sims.binary_search_by(|&(v, _)| v.cmp(value)).ok()?;
-    sims.get(at).map(|&(_, s)| s)
+/// The rank order as a plain integer key: the score's bits mapped so that
+/// unsigned order is [`f64::total_cmp`] order, then inverted so a higher
+/// score sorts first; ties go to the lower entity id.
+fn rank_key(score: f64, e: EntityId) -> (u64, EntityId) {
+    let bits = score.to_bits();
+    let ordered = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    (!ordered, e)
 }
 
 /// Does the entity match the searched certificate kind?
-fn kind_matches(e: &PedigreeEntity, kind: SearchKind) -> bool {
+fn kind_matches(row: &EntityRow, kind: SearchKind) -> bool {
     match kind {
-        SearchKind::Birth => e.has_birth_record,
-        SearchKind::Death => e.has_death_record,
+        SearchKind::Birth => row.has_birth_record,
+        SearchKind::Death => row.has_death_record,
     }
 }
 
@@ -362,10 +482,10 @@ fn geo_matches(e: &PedigreeEntity, filter: Option<(snaps_strsim::geo::GeoPoint, 
 
 /// Year score: 1.0 inside the queried range, linearly decaying to 0 at
 /// three years outside it (user-supplied years are uncertain, §7).
-fn year_score(e: &PedigreeEntity, kind: SearchKind, range: (i32, i32)) -> f64 {
+fn year_score(row: &EntityRow, kind: SearchKind, range: (i32, i32)) -> f64 {
     let year = match kind {
-        SearchKind::Birth => e.birth_year,
-        SearchKind::Death => e.death_year,
+        SearchKind::Birth => row.birth_year,
+        SearchKind::Death => row.death_year,
     };
     let Some(y) = year else { return 0.0 };
     let (lo, hi) = range;
@@ -713,7 +833,8 @@ mod oracle_tests {
             .into_iter()
             .filter_map(|(e, (fn_sim, sn_sim))| {
                 let entity = engine.graph().get(e)?;
-                if !kind_matches(entity, q.kind) || !geo_matches(entity, q.geo_filter) {
+                let row = EntityRow::of(entity);
+                if !kind_matches(&row, q.kind) || !geo_matches(entity, q.geo_filter) {
                     return None;
                 }
                 let mut score = weights.first_name * fn_sim + weights.surname * sn_sim;
@@ -723,7 +844,7 @@ mod oracle_tests {
                     s
                 });
                 let year_sc = q.year_range.map(|range| {
-                    let s = year_score(entity, q.kind, range);
+                    let s = year_score(&row, q.kind, range);
                     score += weights.year * s;
                     s
                 });
@@ -890,6 +1011,139 @@ mod oracle_tests {
             for counter in ["query.index_probes", "query.candidates_scored"] {
                 assert_eq!(got.counter(counter), want.counter(counter), "{counter}");
             }
+        });
+    }
+
+    /// [`random_graph`] with the addresses redrawn: one to four per entity
+    /// from a pool of two to six places, about half of the entities also
+    /// sharing the first place.
+    fn located_graph(rng: &mut Rng) -> (PedigreeGraph, [Vec<String>; 3]) {
+        let (graph, mut pools) = random_graph(rng);
+        pools[2] = (0..rng.gen_range(2..7)).map(|_| word(rng)).collect();
+        let mut entities = graph.entities;
+        for e in &mut entities {
+            e.addresses.clear();
+            if rng.gen_bool(0.5) {
+                e.addresses.push(pools[2][0].clone());
+            }
+            for _ in 0..rng.gen_range(1..=4) {
+                let v = pick(rng, &pools[2]).to_owned();
+                if !e.addresses.contains(&v) {
+                    e.addresses.push(v);
+                }
+            }
+        }
+        (PedigreeGraph::from_parts(entities, Vec::new(), Vec::new()), pools)
+    }
+
+    /// Location scoring through the location postings equals the string
+    /// compare over each entity's addresses, for a location that is
+    /// indexed, a typo the similarity cache serves, and one matching no
+    /// place; with and without gender and years, for m of 1, 10 and all.
+    #[test]
+    fn location_postings_match_the_string_keyed_oracle() {
+        check_cases(32, |rng| {
+            let (graph, pools) = located_graph(rng);
+            let n = graph.len();
+            let obs = Obs::new(&ObsConfig::full());
+            let engine = SearchEngine::build_obs(graph, &obs);
+            let oracle_obs = Obs::new(&ObsConfig::full());
+            let cache_hits = || obs.report().and_then(|r| r.counter("index.sim_cache.hits"));
+            for _ in 0..12 {
+                let place = pick(rng, &pools[2]).to_owned();
+                let kind = if rng.gen_bool(0.5) { SearchKind::Birth } else { SearchKind::Death };
+                let base = QueryRecord::new(pick(rng, &pools[0]), pick(rng, &pools[1]), kind);
+                let (gender, lo) = (rng.gen_bool(0.5), rng.gen_range(1850..1890));
+                for location in [place.clone(), typo(rng, &place), "zzyzx".to_owned()] {
+                    // Values the indexes lack; the oracle's lookups put them
+                    // in the similarity caches just before each query.
+                    let cached = [
+                        (engine.first_name_sims(), &base.first_name),
+                        (engine.surname_sims(), &base.surname),
+                        (engine.location_sims(), &location),
+                    ]
+                    .iter()
+                    .filter(|(sims, v)| sims.id_of(v).is_none())
+                    .count() as u64;
+                    for refined in [false, true] {
+                        let mut q = base.clone().with_location(&location);
+                        if refined {
+                            q = q.with_years(lo, lo + 2).with_gender(if gender {
+                                Gender::Female
+                            } else {
+                                Gender::Male
+                            });
+                        }
+                        for m in [1, 10, n + 1] {
+                            let want = oracle(&engine, &q, m, &oracle_obs);
+                            let hits = cache_hits();
+                            let got = engine.query(&q, m);
+                            let served = cache_hits().zip(hits).map(|(a, b)| a - b);
+                            assert_eq!(served, Some(cached), "{q:?} served by the cache");
+                            if location == "zzyzx" {
+                                assert!(got.iter().all(|r| r.location_score == Some(0.0)));
+                            }
+                            assert_bit_equal(&got, &want, &q);
+                        }
+                    }
+                }
+            }
+            let (got, want) = (obs.report().unwrap(), oracle_obs.report().unwrap());
+            for counter in ["query.index_probes", "query.candidates_scored"] {
+                assert_eq!(got.counter(counter), want.counter(counter), "{counter}");
+            }
+        });
+    }
+
+    /// A query leaves nothing behind in the pooled accumulator: query B
+    /// after query A on one engine equals query B on a fresh engine.
+    #[test]
+    fn a_query_leaves_no_residue() {
+        check_cases(32, |rng| {
+            let (graph, pools) = located_graph(rng);
+            let n = graph.len();
+            let (used, fresh) = (SearchEngine::build(graph.clone()), SearchEngine::build(graph));
+            for _ in 0..8 {
+                let (a, b) = (random_query(rng, &pools), random_query(rng, &pools));
+                let (m_a, m_b) = ([1, 10, n + 1][rng.gen_range(0..3usize)], n + 1);
+                let _ = used.query(&a, m_a);
+                assert_bit_equal(&used.query(&b, m_b), &fresh.query(&b, m_b), &b);
+            }
+        });
+    }
+
+    /// Four threads sharing one engine, released together and each running
+    /// the query list from its own starting point, get exactly the
+    /// sequential answers.
+    #[test]
+    fn concurrent_queries_match_a_sequential_run() {
+        check_cases(8, |rng| {
+            let (graph, pools) = located_graph(rng);
+            let n = graph.len();
+            let queries: Vec<(QueryRecord, usize)> =
+                (0..32).map(|i| (random_query(rng, &pools), [1, 10, n + 1][i % 3])).collect();
+            let sequential: Vec<Vec<RankedMatch>> = {
+                let engine = SearchEngine::build(graph.clone());
+                queries.iter().map(|(q, m)| engine.query(q, *m)).collect()
+            };
+            let engine = SearchEngine::build(graph);
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    let (engine, queries, sequential) = (&engine, &queries, &sequential);
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        for round in 0..4 {
+                            for i in 0..queries.len() {
+                                let at = (i + 8 * t + round) % queries.len();
+                                let (q, m) = &queries[at];
+                                assert_bit_equal(&engine.query(q, *m), &sequential[at], q);
+                            }
+                        }
+                    });
+                }
+            });
         });
     }
 

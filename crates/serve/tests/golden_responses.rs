@@ -21,6 +21,13 @@ use snaps_serve::{snapshot, Server, ServerConfig};
 /// Digest of every body the battery below receives, in order.
 const GOLDEN_DIGEST: u64 = 0x6bc4_6d49_1f3a_8260;
 
+/// The battery's totals of `query.candidates_scored` and
+/// `query.index_probes`: the work behind the bytes, pinned so that a
+/// change scoring more candidates or probing more postings shows even
+/// when the responses do not move.
+const GOLDEN_CANDIDATES_SCORED: u64 = 9104;
+const GOLDEN_INDEX_PROBES: u64 = 3201;
+
 /// Entities whose names seed the battery (spread across the graph).
 const SEED_ENTITIES: usize = 12;
 
@@ -145,6 +152,9 @@ fn search_and_pedigree_bodies_match_the_recorded_digest() {
     }
     server.shutdown();
 
+    let report = obs.report().expect("enabled obs");
+    assert_eq!(report.counter("query.candidates_scored"), Some(GOLDEN_CANDIDATES_SCORED));
+    assert_eq!(report.counter("query.index_probes"), Some(GOLDEN_INDEX_PROBES));
     assert!(pedigrees >= SEED_ENTITIES, "the battery reaches pedigrees: {pedigrees}");
     assert_eq!(
         digest, GOLDEN_DIGEST,
