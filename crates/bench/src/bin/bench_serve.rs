@@ -15,6 +15,12 @@
 //! - `SNAPS_SERVE_CLIENTS`  — concurrent client threads (default 4, min 4)
 //! - `SNAPS_SERVE_REQUESTS` — requests per client (default 200)
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the load generator drives real sockets from client threads and times them"
+)]
+
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

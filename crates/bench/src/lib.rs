@@ -5,8 +5,10 @@
 //! argument parsing and table formatting, plus the timing loop behind the
 //! `benches/` mains.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the timing loop behind the benches measures wall-clock time"
+)]
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Debug, Clone)]

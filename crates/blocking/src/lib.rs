@@ -14,9 +14,6 @@
 //!   nodes ("we first filter record pairs of impossible role types, such as
 //!   pairs with different genders").
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod minhash;
 pub mod pairs;
 pub mod soundex;

@@ -34,9 +34,6 @@
 //! Every technique can be disabled individually through
 //! [`config::Ablation`], which is how the paper's Table 3 is reproduced.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod attrs;
 pub mod config;
 pub mod constraints;

@@ -11,6 +11,16 @@
 //! one surviving record is still findable), controllable via
 //! [`PedigreeGraph::build_with`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use std::collections::BTreeSet;
 
 use snaps_model::{Dataset, EntityId, Gender, RecordId, Relationship, Role};
@@ -99,6 +109,10 @@ impl PedigreeGraph {
     /// Build from a resolution; `include_singletons = false` reproduces
     /// Algorithm 1 literally (only entities of merged nodes appear).
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "record ids come from `ds`, and `record_entity` has one slot per record"
+    )]
     pub fn build_with(ds: &Dataset, res: &Resolution, include_singletons: bool) -> Self {
         let mut entities = Vec::with_capacity(res.clusters.len());
         let mut record_entity = vec![NO_ENTITY; ds.len()];
@@ -169,6 +183,7 @@ impl PedigreeGraph {
     /// Entity lookup; panics on an out-of-range id. Offline pipeline code
     /// that mints its own ids uses this; request handlers use [`Self::get`].
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "arena accessor; the panic is documented above")]
     pub fn entity(&self, id: EntityId) -> &PedigreeEntity {
         &self.entities[id.index()]
     }

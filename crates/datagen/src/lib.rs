@@ -26,9 +26,6 @@
 //! assert_eq!(data.truth.record_entity.len(), data.dataset.len());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod corrupt;
 pub mod names;
 pub mod population;

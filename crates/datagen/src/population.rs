@@ -848,7 +848,10 @@ pub fn extract_certificates(
 }
 
 /// Emit one person record for `sim` in role `role`, corrupting every field.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call site; bundling the simulation context would add a type for it alone"
+)]
 fn push_person(
     ds: &mut Dataset,
     truth: &mut GroundTruth,

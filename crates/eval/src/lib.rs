@@ -13,8 +13,10 @@
 //!   growing registration windows;
 //! * [`characterise`] — Table 1, Table 2, and Figure 2 dataset statistics.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "Tables 5 and 7 report wall-clock runtimes and latencies"
+)]
 
 pub mod ablation;
 pub mod characterise;

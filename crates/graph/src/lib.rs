@@ -10,9 +10,6 @@
 //!   following Randall et al.'s graph-measure error identification),
 //! * [`components`] — connected components over an arbitrary edge list.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod components;
 pub mod undirected;
 pub mod union_find;

@@ -11,8 +11,15 @@
 //!   the bigram-sharing candidates and cached for future queries, exactly as
 //!   §7 describes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod keyword;
 pub mod simcache;

@@ -13,8 +13,9 @@
 // lookups are by key, eviction order comes from the explicit FIFO queue, and
 // cached results are identical to recomputation. O(1) hashed access matters
 // on this hot path, so HashMap is deliberate.
-use std::collections::hash_map::DefaultHasher; // snaps-lint: allow(hash-iter) -- order never observed; see above
-use std::collections::{HashMap, VecDeque}; // snaps-lint: allow(hash-iter) -- order never observed; see above
+use std::collections::hash_map::DefaultHasher;
+#[expect(clippy::disallowed_types, reason = "order never observed; see above")]
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -36,7 +37,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 /// result; so a poisoned shard is recovered and used as is.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<Arc<str>, Arc<Matches>>, // snaps-lint: allow(hash-iter) -- keyed access only, order never observed
+    #[expect(clippy::disallowed_types, reason = "keyed access only, order never observed")]
+    map: HashMap<Arc<str>, Arc<Matches>>,
     order: VecDeque<Arc<str>>,
 }
 
@@ -110,6 +112,10 @@ impl SimCache {
 
     /// The shard `key` hashes to. `None` is unreachable (the modulus keeps
     /// the index under `SHARDS`) but callers degrade gracefully anyway.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the hash's low bits pick the shard; truncation keeps them"
+    )]
     fn shard(&self, key: &str) -> Option<&Mutex<Shard>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -242,6 +248,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test runs writers on several threads")]
     fn concurrent_use_is_safe() {
         let c = std::sync::Arc::new(SimCache::new(128));
         let handles: Vec<_> = (0..4)

@@ -2,6 +2,8 @@
 //! hammer an overlapping keyspace, then the `index.sim_cache.*` counter
 //! triple must reconcile exactly with the traffic that was issued.
 
+#![expect(clippy::disallowed_methods, reason = "the test runs writers on several threads")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -10,9 +10,6 @@
 //! dense `f64` feature vectors with boolean labels, and share the
 //! [`Classifier`] interface.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod data;
 pub mod forest;
 pub mod logistic;

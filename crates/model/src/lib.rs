@@ -14,8 +14,15 @@
 //! * dataset characterisation statistics ([`stats`]) reproducing the paper's
 //!   Table 1 and Figure 2.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod certificate;
 pub mod dataset;

@@ -260,6 +260,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test runs writers on several threads")]
     fn concurrent_writers_reconcile_exactly() {
         // 8 writers × 500 records into a 64-slot ring: every push must be
         // counted, the retained set must be exactly the 64 newest sequence

@@ -6,8 +6,15 @@
 //! grandchildren at two) — and rendered as a textual listing, an ASCII
 //! family tree (the paper's Figs. 7/8 hierarchical layout), or Graphviz DOT.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod extract;
 pub mod render;

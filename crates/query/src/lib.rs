@@ -8,8 +8,15 @@
 //! the top-`m` entities with scores normalised to percentages — "100%
 //! indicating an entity … matches exactly on all QID values provided".
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod process;
 pub mod query;

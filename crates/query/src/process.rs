@@ -1116,6 +1116,10 @@ mod oracle_tests {
     /// the query list from its own starting point, get exactly the
     /// sequential answers.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test queries one engine from several threads"
+    )]
     fn concurrent_queries_match_a_sequential_run() {
         check_cases(8, |rng| {
             let (graph, pools) = located_graph(rng);

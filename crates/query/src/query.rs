@@ -73,6 +73,10 @@ impl QueryRecord {
     /// # Panics
     /// Panics if either mandatory name normalises to the empty string.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented panic for trusted input; requests use the try_ twin"
+    )]
     pub fn new(first_name: &str, surname: &str, kind: SearchKind) -> Self {
         match Self::try_new(first_name, surname, kind) {
             Ok(q) => q,
@@ -105,6 +109,10 @@ impl QueryRecord {
     /// # Panics
     /// Panics on an inverted range.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented panic for trusted input; requests use the try_ twin"
+    )]
     pub fn with_years(self, from: i32, to: i32) -> Self {
         match self.try_with_years(from, to) {
             Ok(q) => q,
@@ -141,6 +149,10 @@ impl QueryRecord {
     /// # Panics
     /// Panics when the location normalises to the empty string.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented panic for trusted input; requests use the try_ twin"
+    )]
     pub fn with_location(self, location: &str) -> Self {
         match self.try_with_location(location) {
             Ok(q) => q,

@@ -18,8 +18,6 @@
 //! These rules are part of the contract: changing any of them changes
 //! every generated dataset, so the known-answer tests pin them.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

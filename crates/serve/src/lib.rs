@@ -15,8 +15,20 @@
 //! generates a dataset, resolves it and writes the snapshot; `serve` loads
 //! a snapshot and listens for queries.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the server owns the sockets, the worker threads and request timing"
+)]
 
 pub mod http;
 pub mod json;

@@ -112,8 +112,8 @@ impl Writer {
 /// # Panics
 /// Panics past `u32::MAX` entries.
 #[must_use]
+#[expect(clippy::expect_used, reason = "encode-side bound; decode never calls this")]
 pub fn len_u32(n: usize) -> u32 {
-    // snaps-lint: allow(panic-path) -- encode-side bound; counts come from in-memory Vecs, decode never calls this
     u32::try_from(n).expect("collection length exceeds the wire format's u32 limit")
 }
 
@@ -217,6 +217,10 @@ impl<'a> Reader<'a> {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the table index is masked to 0..=255 against a [u32; 256] table"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -232,7 +236,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     });
     let mut crc = !0u32;
     for &b in bytes {
-        // snaps-lint: allow(index-guard) -- index is masked to 0..=255 against a [u32; 256] table
         crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc

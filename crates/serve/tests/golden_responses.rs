@@ -4,8 +4,14 @@
 //! with a recorded constant. Any change to ranking, scoring, pedigree
 //! extraction or JSON rendering moves the digest.
 //!
+//! The same fixture pins the snapshot bytes: the pair (format version,
+//! FNV-1a of `snapshot::to_bytes`) is compared with a recorded pair, so a
+//! layout change cannot ship without a format version bump.
+//!
 //! When a change is *meant* to alter responses, re-record the constant
 //! from the assertion message and say why in the change log.
+
+#![expect(clippy::disallowed_types, reason = "drives the server over real sockets")]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,8 +34,14 @@ const GOLDEN_DIGEST: u64 = 0x6bc4_6d49_1f3a_8260;
 const GOLDEN_CANDIDATES_SCORED: u64 = 9104;
 const GOLDEN_INDEX_PROBES: u64 = 3201;
 
+/// `(FORMAT_VERSION, FNV-1a of the snapshot bytes)` of the fixture engine.
+const GOLDEN_SNAPSHOT: (u32, u64) = (1, 0x7d5b_e2f6_9d75_1a83);
+
 /// Entities whose names seed the battery (spread across the graph).
 const SEED_ENTITIES: usize = 12;
+
+/// FNV-1a's 64-bit offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a, 64-bit.
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
@@ -40,13 +52,14 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// The engine as `snaps-serve serve` runs it: built offline, written to
-/// snapshot bytes, and restored from them.
-fn served_engine(obs: &Obs) -> Arc<SearchEngine> {
+/// snapshot bytes, and restored from them. Also returns the bytes.
+fn served_engine(obs: &Obs) -> (Arc<SearchEngine>, Vec<u8>) {
     let data = generate(&DatasetProfile::ios().scaled(0.05), 42);
     let res = resolve(&data.dataset, &SnapsConfig::default());
     let built = SearchEngine::build(PedigreeGraph::build(&data.dataset, &res));
     let bytes = snapshot::to_bytes(&built);
-    Arc::new(snapshot::from_bytes(&bytes, obs).expect("snapshot round trip"))
+    let engine = snapshot::from_bytes(&bytes, obs).expect("snapshot round trip");
+    (Arc::new(engine), bytes)
 }
 
 /// Percent-encode everything but ASCII alphanumerics.
@@ -130,12 +143,20 @@ fn search_targets(engine: &SearchEngine) -> Vec<String> {
 #[test]
 fn search_and_pedigree_bodies_match_the_recorded_digest() {
     let obs = Obs::new(&ObsConfig::full());
-    let engine = served_engine(&obs);
+    let (engine, snapshot_bytes) = served_engine(&obs);
+    let mut snapshot_digest = FNV_OFFSET;
+    fnv1a(&mut snapshot_digest, &snapshot_bytes);
+    assert_eq!(
+        (snapshot::FORMAT_VERSION, snapshot_digest),
+        GOLDEN_SNAPSHOT,
+        "snapshot bytes changed: digest {snapshot_digest:#018x}. A layout change must bump \
+         FORMAT_VERSION; then re-record the pair"
+    );
     let server = Server::start("127.0.0.1:0", Arc::clone(&engine), &obs, &ServerConfig::default())
         .expect("bind ephemeral");
     let addr = server.addr();
 
-    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut digest = FNV_OFFSET;
     let mut pedigrees = 0;
     for (n, target) in search_targets(&engine).iter().enumerate() {
         let (status, body) = get(addr, target);

@@ -2,6 +2,8 @@
 //! `/debug/slow`, the Prometheus exposition, and the snapshot identity in
 //! `/healthz` — all exercised over real sockets with mixed traffic.
 
+#![expect(clippy::disallowed_types, reason = "drives the server over real sockets")]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

@@ -3,44 +3,16 @@
 //! a spread of query shapes — and every malformed file must fail with a
 //! typed error instead of a panic.
 
+#![expect(clippy::disallowed_methods, reason = "queries one restored engine from several threads")]
+
+mod common;
+
 use std::sync::Arc;
 
-use snaps_core::{resolve, PedigreeGraph, SnapsConfig};
-use snaps_datagen::{generate, DatasetProfile};
-use snaps_model::Gender;
+use common::{build_engine, query_battery};
 use snaps_obs::Obs;
-use snaps_query::{QueryRecord, RankedMatch, SearchEngine, SearchKind};
+use snaps_query::{QueryRecord, RankedMatch, SearchKind};
 use snaps_serve::snapshot::{self, SnapshotError, FORMAT_VERSION, MAGIC};
-
-fn build_engine() -> SearchEngine {
-    let data = generate(&DatasetProfile::ios().scaled(0.02), 42);
-    let res = resolve(&data.dataset, &SnapsConfig::default());
-    SearchEngine::build(PedigreeGraph::build(&data.dataset, &res))
-}
-
-/// A spread of query shapes: mandatory-only, every optional field, both
-/// search kinds, and names unseen at build time (exercising the
-/// memoisation path on both engines).
-fn query_battery(engine: &SearchEngine) -> Vec<QueryRecord> {
-    let mut queries = vec![
-        QueryRecord::new("mary", "macdonald", SearchKind::Birth),
-        QueryRecord::new("john", "macleod", SearchKind::Death),
-        QueryRecord::new("catherine", "nicolson", SearchKind::Birth)
-            .with_gender(Gender::Female)
-            .with_years(1860, 1890),
-        QueryRecord::new("donald", "beaton", SearchKind::Birth).with_location("portree"),
-        // Misspelled / unseen values go through lookup_or_compute.
-        QueryRecord::new("marry", "mcdonnald", SearchKind::Birth),
-        QueryRecord::new("jon", "macloud", SearchKind::Death).with_years(1850, 1900),
-    ];
-    // Plus a couple of names guaranteed present in this generated dataset.
-    for e in engine.graph().entities.iter().take(2) {
-        if let (Some(f), Some(s)) = (e.first_names.first(), e.surnames.first()) {
-            queries.push(QueryRecord::new(f, s, SearchKind::Birth));
-        }
-    }
-    queries
-}
 
 /// Exact comparison on purpose: scores are deterministic f64 arithmetic,
 /// so save/load must reproduce them bit for bit, not just approximately.
@@ -83,7 +55,7 @@ fn snapshot_survives_a_second_generation() {
 
 #[test]
 fn two_pipeline_runs_same_seed_byte_identical_snapshots() {
-    // The determinism guarantee snaps-lint's hash-iter rule protects: two
+    // The determinism guarantee clippy's disallowed-types list protects: two
     // *independent* full pipeline runs (generate → resolve → build indexes)
     // on the same seed must serialise to byte-identical snapshot files.
     // With HashMap anywhere on the result path this fails — each process-

@@ -19,9 +19,6 @@
 //! are compared as Unicode scalar values; callers that want case-insensitive
 //! behaviour should normalise first with [`normalize::normalize_name`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod geo;
 pub mod jaro;
 pub mod levenshtein;

@@ -1,5 +1,4 @@
 //! Facade crate re-exporting all SNAPS sub-crates.
-#![forbid(unsafe_code)]
 pub use snaps_anonymise as anonymise;
 pub use snaps_baselines as baselines;
 pub use snaps_blocking as blocking;

@@ -2,6 +2,11 @@
 //! search service on it, and verify searchability and the privacy
 //! invariants.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a count per cause; every count is checked, in any order"
+)]
+
 use std::collections::HashMap;
 
 use snaps::anonymise::{anonymise, AnonymiserConfig};

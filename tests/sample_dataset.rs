@@ -3,6 +3,11 @@
 //! publishes alongside the SNAPS demo — loads, validates, and supports the
 //! full service.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a count per cause; every count is checked, in any order"
+)]
+
 use snaps::core::{resolve, PedigreeGraph, SnapsConfig};
 use snaps::model::{Dataset, Role};
 use snaps::query::{QueryRecord, SearchEngine, SearchKind};
